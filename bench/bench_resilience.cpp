@@ -37,25 +37,6 @@ namespace {
 
 using namespace qaoa;
 
-/** Scaled Fig. 11 pool: ER p = 0.1..0.6 plus 3..8-regular instances. */
-std::vector<graph::Graph>
-fig11Pool(int n, int count, std::uint64_t seed)
-{
-    std::vector<graph::Graph> pool;
-    for (int i = 0; i < 6; ++i) {
-        double p = 0.1 + 0.1 * i;
-        for (auto &g : metrics::erdosRenyiInstances(
-                 n, p, count, seed + static_cast<std::uint64_t>(i)))
-            pool.push_back(std::move(g));
-    }
-    for (int k = 3; k <= 8; ++k) {
-        for (auto &g : metrics::regularInstances(
-                 n, k, count, seed + 100 + static_cast<std::uint64_t>(k)))
-            pool.push_back(std::move(g));
-    }
-    return pool;
-}
-
 double
 median(std::vector<double> v)
 {
@@ -74,7 +55,8 @@ main(int argc, char **argv)
 
     const hw::CouplingMap map = hw::ibmqTokyo20();
     const hw::CalibrationData calib(map);
-    const std::vector<graph::Graph> pool = fig11Pool(16, per_class, 7);
+    const std::vector<graph::Graph> pool =
+        metrics::fig11Pool(16, per_class, 7);
 
     Table overhead_table({"method", "unguarded ms", "guarded ms",
                           "overhead %", "within 2% bar"});

@@ -73,6 +73,13 @@ Rules (see DESIGN.md §13/§14 for the catalogue with rationale):
          exactly once and polled at exactly one site.  A name that
          drifts (typo'd poll, stale catalogue row, copy-pasted site)
          makes QAOA_FAILPOINTS specs silently arm nothing.
+  QE107  No std::sto* / ato* / strto* in src/ or tools/ outside
+         common/text.cpp.  The checked whole-token parsers there are
+         the one way to turn text into numbers; the C library calls
+         accept "3x" as 3, wrap "-1" to 2^64-1 or skip leading space,
+         which is how a malformed flag or wire field slips through as
+         a silent value.  A reader that needs the end position inside
+         a longer line carries a qe-allow(QE107) waiver.
 
 Suppression: a `qs-allow(QS00x)` / `qe-allow(QE10x)` comment on the
 offending line or the line directly above it waives that rule for that
@@ -152,6 +159,16 @@ RULES = {
         "pattern": re.compile(r"\bcatch\s*\(\s*\.\.\.\s*\)"),
         "roots": ("src", "tools"),
         "exempt": ("src/common/error.hpp",),
+    },
+    "QE107": {
+        "summary": "text-to-number call outside the common/text parser",
+        "pattern": re.compile(
+            r"\b(?:sto(?:i|l|ll|ul|ull|f|d|ld)"
+            r"|ato(?:i|l|ll|f)"
+            r"|strto(?:l|ll|ul|ull|d|f|ld|imax|umax))\s*\("
+        ),
+        "roots": ("src", "tools"),
+        "exempt": ("src/common/text.cpp",),
     },
     "QE104": {
         "summary": "(void) cast silencing a [[nodiscard]] result",

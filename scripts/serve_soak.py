@@ -179,15 +179,15 @@ def probe_error_paths(daemon):
         raise RuntimeError(f"kv garbage lost its byte offset: {frame}")
     checks += 1
 
-    # (2) Parseable record, garbage numeric field: classified as a
-    # malformed CLIENT input (never internal), answered under its id.
+    # (2) Parseable record, garbage numeric field: an invalid request
+    # field (a CLIENT error, never internal), answered under its id.
     bad = make_request("probe-bad-seed", "tenant0", 4, 1)
     bad["seed"] = "not-a-number"
     daemon.send(bad)
     frame = await_frame(daemon, "probe-bad-seed")
     if frame.get("type") != "error":
         raise RuntimeError(f"bad numeric field not an error: {frame}")
-    if frame.get("error_code") != "malformed":
+    if frame.get("error_code") != "invalid_argument":
         raise RuntimeError(f"bad numeric field miscoded: {frame}")
     checks += 1
 

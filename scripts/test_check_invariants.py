@@ -411,6 +411,43 @@ class TestDurabilityRules(LinterTestCase):
         self.assertQuiet("QE106")
 
 
+class TestTextParsingRule(LinterTestCase):
+    def test_qe107_sto_ato_strto_fire_in_src_and_tools(self):
+        self.tree.write("src/serve/a.cpp", "int n = std::stoi(text);\n")
+        self.tree.write("src/b.cpp", "long v = strtol(s, &end, 10);\n")
+        self.tree.write("tools/t.cpp", "int k = atoi(argv[1]);\n")
+        self.tree.write("tools/u.cpp", "double d = std::stod (text);\n")
+        self.assertEqual(self.rule_ids().count("QE107"), 4)
+
+    def test_qe107_common_text_cpp_is_the_parser(self):
+        self.tree.write(
+            "src/common/text.cpp",
+            "double v = std::strtod(copy.c_str(), &end);\n",
+        )
+        self.assertQuiet("QE107")
+
+    def test_qe107_tests_and_bench_are_exempt(self):
+        self.tree.write("tests/t.cpp", "int n = std::stoi(text);\n")
+        self.tree.write("bench/b.cpp", "int n = atoi(argv[1]);\n")
+        self.assertQuiet("QE107")
+
+    def test_qe107_lookalike_names_are_quiet(self):
+        self.tree.write(
+            "src/a.cpp",
+            "std::stop_token tok;\nauto v = text::parseInt(s);\n"
+            "store(x);\nauto n = mystoi(s);\n",
+        )
+        self.assertQuiet("QE107")
+
+    def test_qe107_suppression(self):
+        self.tree.write(
+            "src/a.cpp",
+            "// qe-allow(QE107): positional reader\n"
+            "double v = std::strtod(p, &end);\n",
+        )
+        self.assertQuiet("QE107")
+
+
 class TestStripping(LinterTestCase):
     def test_token_in_line_comment_is_ignored(self):
         self.tree.write("src/a.cpp", "// std::mutex would be wrong here\n")

@@ -6,6 +6,7 @@
 
 #include "analysis/quality.hpp"
 #include "common/error.hpp"
+#include "common/text.hpp"
 
 namespace qaoa::analysis {
 
@@ -112,17 +113,7 @@ class FlatJsonParser
 double
 toNumber(const std::string &key, const std::string &value)
 {
-    std::size_t used = 0;
-    double out = 0.0;
-    try {
-        out = std::stod(value, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    QAOA_CHECK(used == value.size(),
-               "budget JSON: non-numeric value for \"" << key
-                                                       << "\": " << value);
-    return out;
+    return text::orThrow(text::parseDouble(value), "budget JSON", key);
 }
 
 std::string

@@ -23,6 +23,7 @@ fmt(double v)
     char buf[40];
     for (int prec = 15; prec <= 17; ++prec) {
         std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+        // qe-allow(QE107): round-trip probe of text formatted just above.
         if (std::bit_cast<std::uint64_t>(std::strtod(buf, nullptr)) ==
             std::bit_cast<std::uint64_t>(v))
             break;

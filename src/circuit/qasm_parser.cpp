@@ -1,6 +1,5 @@
 #include "circuit/qasm_parser.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -10,46 +9,25 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 
 namespace qaoa::circuit {
 
 namespace {
 
-/** Strips surrounding whitespace. */
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r\n");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r\n");
-    return s.substr(b, e - b + 1);
-}
-
 /**
- * Converts a whole token to a non-negative integer, rejecting anything
- * std::stoi would silently truncate ("3x") or throw on ("abc", "",
- * numbers past INT_MAX).  All parser integer conversions funnel through
- * here so malformed input surfaces as a QAOA_CHECK diagnostic with the
- * offending line, never as an escaped std::invalid_argument.
+ * Converts a whole token to a non-negative integer (common/text.hpp),
+ * so malformed input ("3x", "abc", "", numbers past INT_MAX) surfaces
+ * as a QAOA_CHECK diagnostic with the offending line.
  */
 int
-parseIndexChecked(const std::string &text, int line, const char *what)
+parseIndexChecked(const std::string &token, int line, const char *what)
 {
-    std::string t = trim(text);
-    bool all_digits = !t.empty() &&
-                      std::all_of(t.begin(), t.end(), [](unsigned char c) {
-                          return std::isdigit(c) != 0;
-                      });
-    QAOA_CHECK(all_digits, "line " << line << ": bad " << what << " '"
-                                   << text << "'");
-    try {
-        return std::stoi(t);
-    } catch (const std::out_of_range &) {
-        QAOA_CHECK(false, "line " << line << ": " << what
-                                  << " out of range '" << text << "'");
-    }
-    return -1; // unreachable
+    const StatusOr<int> index = text::parseInt(text::trim(token), 0);
+    QAOA_CHECK(index.ok(), "line " << line << ": bad " << what << " '"
+                                   << token << "' ("
+                                   << index.status().message() << ")");
+    return index.value();
 }
 
 /**
@@ -67,6 +45,7 @@ parseRealChecked(const std::string &s, std::size_t &pos, int line,
     const char *start = s.c_str() + pos;
     char *end = nullptr;
     errno = 0;
+    // qe-allow(QE107): a positional reader; the angle ends mid-line.
     const double value = std::strtod(start, &end);
     QAOA_CHECK(end != start, "line " << line << ": bad angle '" << expr
                                      << "'");
@@ -85,7 +64,7 @@ parseRealChecked(const std::string &s, std::size_t &pos, int line,
 double
 evalAngle(const std::string &expr, int line)
 {
-    std::string s = trim(expr);
+    std::string s = text::trim(expr);
     QAOA_CHECK(!s.empty(), "line " << line << ": empty angle");
     double value = 1.0;
     char op = '*';
@@ -139,10 +118,10 @@ evalAngle(const std::string &expr, int line)
 int
 parseOperand(const std::string &token, const std::string &reg, int line)
 {
-    std::string t = trim(token);
+    std::string t = text::trim(token);
     std::size_t lb = t.find('['), rb = t.find(']');
     QAOA_CHECK(lb != std::string::npos && rb != std::string::npos &&
-                   rb > lb + 1 && trim(t.substr(0, lb)) == reg,
+                   rb > lb + 1 && text::trim(t.substr(0, lb)) == reg,
                "line " << line << ": bad operand '" << token << "'");
     return parseIndexChecked(t.substr(lb + 1, rb - lb - 1), line,
                              "qubit index");
@@ -194,7 +173,7 @@ parseQasm(const std::string &text, const QasmParseOptions &options)
         std::size_t comment = line.find("//");
         if (comment != std::string::npos)
             line = line.substr(0, comment);
-        line = trim(line);
+        line = text::trim(line);
         if (line.empty())
             continue;
 
@@ -212,13 +191,13 @@ parseQasm(const std::string &text, const QasmParseOptions &options)
         QAOA_CHECK(line.back() == ';',
                    "line " << line_no << ": missing ';'");
         line.pop_back();
-        line = trim(line);
+        line = text::trim(line);
 
         if (line.rfind("qreg", 0) == 0) {
             std::size_t lb = line.find('['), rb = line.find(']');
             QAOA_CHECK(lb != std::string::npos && rb != std::string::npos,
                        "line " << line_no << ": bad qreg");
-            qreg_name = trim(line.substr(4, lb - 4));
+            qreg_name = text::trim(line.substr(4, lb - 4));
             num_qubits = parseIndexChecked(
                 line.substr(lb + 1, rb - lb - 1), line_no, "qreg size");
             QAOA_CHECK(num_qubits >= 1,
@@ -247,7 +226,7 @@ parseQasm(const std::string &text, const QasmParseOptions &options)
                        "line " << line_no << ": measure needs '->'");
             int q = checkQubit(parseOperand(line.substr(7, arrow - 7),
                                             qreg_name, line_no));
-            std::string target = trim(line.substr(arrow + 2));
+            std::string target = text::trim(line.substr(arrow + 2));
             std::size_t lb = target.find('['), rb = target.find(']');
             QAOA_CHECK(lb != std::string::npos && rb != std::string::npos,
                        "line " << line_no << ": bad classical target");
@@ -263,7 +242,7 @@ parseQasm(const std::string &text, const QasmParseOptions &options)
                (std::isalnum(line[name_end]) || line[name_end] == '_'))
             ++name_end;
         std::string name = line.substr(0, name_end);
-        std::string rest = trim(line.substr(name_end));
+        std::string rest = text::trim(line.substr(name_end));
 
         std::vector<double> params;
         if (!rest.empty() && rest.front() == '(') {
@@ -273,7 +252,7 @@ parseQasm(const std::string &text, const QasmParseOptions &options)
             for (const std::string &p :
                  splitCommas(rest.substr(1, close - 1)))
                 params.push_back(evalAngle(p, line_no));
-            rest = trim(rest.substr(close + 1));
+            rest = text::trim(rest.substr(close + 1));
         }
         std::vector<int> qubits;
         for (const std::string &tok : splitCommas(rest))

@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "common/sync.hpp"
+#include "common/text.hpp"
 
 namespace qaoa::failpoint {
 
@@ -93,27 +94,6 @@ badSpec(const std::string &entry, const std::string &why)
             "failpoint spec '" + entry + "': " + why};
 }
 
-[[nodiscard]] std::string
-trimmed(const std::string &text)
-{
-    const auto begin = text.find_first_not_of(" \t");
-    if (begin == std::string::npos)
-        return "";
-    const auto end = text.find_last_not_of(" \t");
-    return text.substr(begin, end - begin + 1);
-}
-
-[[nodiscard]] bool
-parseUint(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    errno = 0;
-    out = std::strtoull(text.c_str(), nullptr, 10);
-    return errno == 0;
-}
-
 /** Parses one 'name=action[@triggers]' entry into (name, point). */
 [[nodiscard]] Status
 parseEntry(const std::string &entry, std::uint64_t default_seed,
@@ -122,7 +102,7 @@ parseEntry(const std::string &entry, std::uint64_t default_seed,
     const auto eq = entry.find('=');
     if (eq == std::string::npos)
         return badSpec(entry, "expected name=action");
-    name = trimmed(entry.substr(0, eq));
+    name = text::trim(entry.substr(0, eq));
     if (!isKnownName(name)) {
         std::string known;
         for (const char *n : kFailpointCatalogue) {
@@ -135,11 +115,11 @@ parseEntry(const std::string &entry, std::uint64_t default_seed,
                            ")");
     }
 
-    std::string action_text = trimmed(entry.substr(eq + 1));
+    std::string action_text = text::trim(entry.substr(eq + 1));
     std::string trigger_text;
     if (const auto at = action_text.find('@'); at != std::string::npos) {
         trigger_text = action_text.substr(at + 1);
-        action_text = trimmed(action_text.substr(0, at));
+        action_text = text::trim(action_text.substr(0, at));
     }
 
     point = ArmedPoint{};
@@ -154,7 +134,7 @@ parseEntry(const std::string &entry, std::uint64_t default_seed,
         point.action = Action::None;
     } else if (action_text.rfind("errno:", 0) == 0) {
         point.action = Action::ReturnErrno;
-        const std::string token = trimmed(action_text.substr(6));
+        const std::string token = text::trim(action_text.substr(6));
         point.error_number = errnoFromToken(token);
         if (point.error_number == 0)
             return badSpec(entry, "unknown errno token '" + token + "'");
@@ -163,10 +143,8 @@ parseEntry(const std::string &entry, std::uint64_t default_seed,
                                   "' (want errno:E, short, abort, off)");
     }
 
-    std::istringstream triggers(trigger_text);
-    std::string trigger;
-    while (std::getline(triggers, trigger, ',')) {
-        trigger = trimmed(trigger);
+    for (std::string trigger : text::split(trigger_text, ',')) {
+        trigger = text::trim(trigger);
         if (trigger.empty())
             continue;
         const auto teq = trigger.find('=');
@@ -175,20 +153,21 @@ parseEntry(const std::string &entry, std::uint64_t default_seed,
         const std::string key = trigger.substr(0, teq);
         const std::string value = trigger.substr(teq + 1);
         if (key == "hit" || key == "from") {
-            std::uint64_t n = 0;
-            if (!parseUint(value, n) || n == 0)
+            const StatusOr<std::uint64_t> n = text::parseUint64(value);
+            if (!n.ok() || n.value() == 0)
                 return badSpec(entry, "trigger '" + key +
                                           "' wants a positive integer");
-            (key == "hit" ? point.hit : point.from) = n;
+            (key == "hit" ? point.hit : point.from) = n.value();
         } else if (key == "p") {
-            char *end = nullptr;
-            const double p = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0)
+            const StatusOr<double> p = text::parseDouble(value);
+            if (!p.ok() || p.value() < 0.0 || p.value() > 1.0)
                 return badSpec(entry, "trigger 'p' wants a number in [0,1]");
-            point.probability = p;
+            point.probability = p.value();
         } else if (key == "seed") {
-            if (!parseUint(value, point.seed))
+            const StatusOr<std::uint64_t> seed = text::parseUint64(value);
+            if (!seed.ok())
                 return badSpec(entry, "trigger 'seed' wants an integer");
+            point.seed = seed.value();
         } else {
             return badSpec(entry, "unknown trigger '" + key +
                                       "' (want hit=, from=, p=, seed=)");
@@ -243,10 +222,8 @@ armFromSpec(const std::string &spec, std::uint64_t default_seed)
     // Parse the whole spec before touching the registry, so a bad entry
     // cannot leave a half-armed state.
     std::vector<std::pair<std::string, ArmedPoint>> parsed;
-    std::istringstream entries(spec);
-    std::string entry;
-    while (std::getline(entries, entry, ';')) {
-        entry = trimmed(entry);
+    for (std::string entry : text::split(spec, ';')) {
+        entry = text::trim(entry);
         if (entry.empty())
             continue;
         std::string name;
@@ -279,13 +256,14 @@ armFromEnv()
     // NOLINTEND(concurrency-mt-unsafe)
     if (spec == nullptr || *spec == '\0')
         return {};
-    std::uint64_t seed = 0;
-    if (seed_text != nullptr && *seed_text != '\0' &&
-        !parseUint(seed_text, seed))
+    if (seed_text == nullptr || *seed_text == '\0')
+        return armFromSpec(spec, 0);
+    const StatusOr<std::uint64_t> seed = text::parseUint64(seed_text);
+    if (!seed.ok())
         return {ErrorCode::InvalidArgument,
                 std::string("QAOA_FAILPOINT_SEED: not an integer: ") +
                     seed_text};
-    return armFromSpec(spec, seed);
+    return armFromSpec(spec, seed.value());
 }
 
 void
@@ -331,10 +309,8 @@ errnoFromToken(const std::string &token)
     for (const ErrnoEntry &e : kErrnoTable)
         if (upper == e.name)
             return e.value;
-    std::uint64_t numeric = 0;
-    if (parseUint(token, numeric) && numeric > 0 && numeric < 4096)
-        return static_cast<int>(numeric);
-    return 0;
+    const StatusOr<int> numeric = text::parseInt(token, 1, 4095);
+    return numeric.ok() ? numeric.value() : 0;
 }
 
 std::string

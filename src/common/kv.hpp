@@ -2,13 +2,13 @@
  * @file
  * Flat key/value codec: one JSON object whose values are all strings.
  *
- * The same dependency-free grammar as the optimizer checkpoints and
- * tests/budgets files, factored out for the serving stack: wire
- * messages (serve/protocol.hpp) and compile-cache entries
- * (serve/cache.hpp) are both one flat object per payload.  Unlike the
- * checkpoint parser this codec supports the JSON string escapes
+ * One dependency-free grammar for every flat record in the tree: wire
+ * messages (serve/protocol.hpp), compile-cache entry metadata
+ * (serve/cache.hpp) and optimizer checkpoints (opt/checkpoint.hpp) are
+ * each one flat object.  The codec supports the JSON string escapes
  * \\n \\r \\t \\" \\\\ so QASM bodies and human-readable diagnostics
- * embed losslessly.
+ * embed losslessly.  (Quality budgets hold bare JSON numbers and keep
+ * their own reader in analysis/budget.cpp.)
  *
  * Keys keep their insertion order on serialize (stable output for
  * golden tests); duplicate keys are a parse error.

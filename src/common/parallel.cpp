@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/sync.hpp"
+#include "common/text.hpp"
 
 namespace qaoa::par {
 
@@ -26,10 +27,8 @@ resolveAutoThreads()
     // Called once (threadCount caches the result in a static); the
     // process never calls setenv, so the environment block is stable.
     if (const char *env = std::getenv("QAOA_THREADS")) { // NOLINT(concurrency-mt-unsafe)
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 4096)
-            return static_cast<int>(v);
+        if (const StatusOr<int> v = text::parseInt(env, 1, 4096); v.ok())
+            return v.value();
     }
     unsigned hc = std::thread::hardware_concurrency();
     return hc > 0 ? static_cast<int>(hc) : 1;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 
 namespace qaoa::graph {
 
@@ -22,23 +23,28 @@ readEdgeList(std::istream &in)
         if (hash != std::string::npos)
             line = line.substr(0, hash);
         std::istringstream fields(line);
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
+        std::string a, b, c, extra;
+        if (!(fields >> a))
             continue; // blank or comment-only line
+        fields >> b >> c >> extra;
+        // Every field must parse as a whole token (common/text.hpp):
+        // "0 1x" is an error, not an edge 0-1 of weight 1.
         if (num_nodes < 0) {
-            int header = -1;
-            QAOA_CHECK(static_cast<bool>(fields >> header) && header >= 0,
+            const StatusOr<int> header = text::parseInt(a, 0);
+            QAOA_CHECK(header.ok() && b.empty(),
                        "line " << line_no
                                << ": expected node-count header");
-            num_nodes = header;
+            num_nodes = header.value();
             g = Graph(num_nodes);
             continue;
         }
-        int u = 0, v = 0;
-        QAOA_CHECK(static_cast<bool>(fields >> u >> v),
+        const StatusOr<int> u = text::parseInt(a);
+        const StatusOr<int> v = text::parseInt(b);
+        const StatusOr<double> w =
+            c.empty() ? StatusOr<double>(1.0) : text::parseDouble(c);
+        QAOA_CHECK(u.ok() && v.ok() && w.ok() && extra.empty(),
                    "line " << line_no << ": expected '<u> <v> [weight]'");
-        double w = 1.0;
-        fields >> w; // optional weight
-        g.addEdge(u, v, w);
+        g.addEdge(u.value(), v.value(), w.value());
     }
     QAOA_CHECK(num_nodes >= 0, "edge list missing node-count header");
     return g;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "graph/generators.hpp"
 
 namespace qaoa::hw {
@@ -146,12 +147,9 @@ namespace {
 int
 parseSize(const std::string &name, std::size_t prefix_len)
 {
-    const std::string digits = name.substr(prefix_len);
-    QAOA_CHECK(!digits.empty() &&
-                   digits.find_first_not_of("0123456789") ==
-                       std::string::npos,
-               "bad device size in \"" << name << "\"");
-    return std::stoi(digits);
+    const StatusOr<int> size = text::parseInt(name.substr(prefix_len), 0);
+    QAOA_CHECK(size.ok(), "bad device size in \"" << name << "\"");
+    return size.value();
 }
 
 } // namespace
@@ -183,6 +181,51 @@ defaultCalibration(const CouplingMap &map)
     if (map.name() == "ibmq_16_melbourne")
         return melbourneCalibration(map);
     return CalibrationData(map);
+}
+
+DeviceView::DeviceView(const std::string &name, const FaultSpec &faults,
+                       const Calibrate &calibrate)
+    : base_map_(deviceByName(name)), base_calib_(calibrate(base_map_))
+{
+    if (!faults.empty())
+        injector_.emplace(base_map_, faults, &base_calib_);
+}
+
+const CouplingMap &
+DeviceView::map() const
+{
+    return injector_ ? injector_->map() : base_map_;
+}
+
+const CalibrationData &
+DeviceView::calibration() const
+{
+    return injector_ ? injector_->calibration() : base_calib_;
+}
+
+const std::vector<char> *
+DeviceView::allowedQubits() const
+{
+    return injector_ ? &injector_->usable() : nullptr;
+}
+
+bool
+DeviceView::degraded() const
+{
+    return injector_ && (!injector_->deadQubits().empty() ||
+                         !injector_->disabledEdges().empty());
+}
+
+int
+DeviceView::usableQubits() const
+{
+    return injector_ ? injector_->usableCount() : base_map_.numQubits();
+}
+
+std::vector<std::string>
+DeviceView::faultNotes() const
+{
+    return injector_ ? injector_->notes() : std::vector<std::string>{};
 }
 
 } // namespace qaoa::hw

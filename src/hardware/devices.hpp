@@ -16,8 +16,14 @@
 #ifndef QAOA_HARDWARE_DEVICES_HPP
 #define QAOA_HARDWARE_DEVICES_HPP
 
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "hardware/calibration.hpp"
 #include "hardware/coupling_map.hpp"
+#include "hardware/faults.hpp"
 
 namespace qaoa::hw {
 
@@ -77,6 +83,50 @@ CouplingMap deviceByName(const std::string &name);
  * otherwise.
  */
 CalibrationData defaultCalibration(const CouplingMap &map);
+
+/**
+ * The device a compile runs against: the deviceByName() map and its
+ * calibration, seen through a FaultInjector when the fault spec is not
+ * empty.  The one copy of this wiring for qaoa_compile, qaoa_lint and
+ * the serve requests.  Not copyable or movable: the calibration and the
+ * injector point at the owned map.
+ */
+class DeviceView
+{
+  public:
+    using Calibrate = std::function<CalibrationData(const CouplingMap &)>;
+
+    DeviceView(const std::string &name, const FaultSpec &faults,
+               const Calibrate &calibrate = defaultCalibration);
+
+    DeviceView(const DeviceView &) = delete;
+    DeviceView &operator=(const DeviceView &) = delete;
+
+    /** The map to compile against (the degraded view when faulty). */
+    const CouplingMap &map() const;
+
+    /** Calibration matching map(). */
+    const CalibrationData &calibration() const;
+
+    /** Qubits a compile may use (the largest surviving component);
+     *  nullptr on a healthy device. */
+    const std::vector<char> *allowedQubits() const;
+
+    /** True when faults removed qubits or couplings (drift alone is
+     *  not a degradation). */
+    bool degraded() const;
+
+    /** Number of qubits a compile may use. */
+    int usableQubits() const;
+
+    /** What the fault injection did, one line per effect. */
+    std::vector<std::string> faultNotes() const;
+
+  private:
+    CouplingMap base_map_;
+    CalibrationData base_calib_;
+    std::optional<FaultInjector> injector_;
+};
 
 } // namespace qaoa::hw
 

@@ -27,6 +27,14 @@ std::vector<graph::Graph> erdosRenyiInstances(int n, double p, int count,
 std::vector<graph::Graph> regularInstances(int n, int k, int count,
                                            std::uint64_t seed);
 
+/**
+ * The Fig. 11 instance pool on @p n nodes: @p count Erdős–Rényi
+ * instances for each p in {0.1, ..., 0.6} (seeds seed+0..5), then
+ * @p count k-regular instances for each k in {3, ..., 8} (seeds
+ * seed+103..108).  @p n must be even so every k-regular family exists.
+ */
+std::vector<graph::Graph> fig11Pool(int n, int count, std::uint64_t seed);
+
 /** Per-instance metric vectors for one (method, instance set) run. */
 struct MetricSeries
 {

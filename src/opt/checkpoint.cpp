@@ -1,181 +1,19 @@
 #include "opt/checkpoint.hpp"
 
-#include <cctype>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/fs.hpp"
+#include "common/kv.hpp"
+#include "common/text.hpp"
 
 namespace qaoa::opt {
 
 namespace {
 
 constexpr const char *kFormat = "qaoa-opt-checkpoint-v1";
-
-/** Minimal parser for one flat JSON object of string values. */
-class FlatParser
-{
-  public:
-    explicit FlatParser(const std::string &text) : text_(text) {}
-
-    template <typename F>
-    void
-    parse(F &&on_pair)
-    {
-        skipSpace();
-        expect('{');
-        skipSpace();
-        if (peek() == '}') {
-            ++pos_;
-            return;
-        }
-        while (true) {
-            const std::string key = parseString();
-            skipSpace();
-            expect(':');
-            skipSpace();
-            on_pair(key, parseString());
-            skipSpace();
-            if (peek() == ',') {
-                ++pos_;
-                skipSpace();
-                continue;
-            }
-            expect('}');
-            return;
-        }
-    }
-
-  private:
-    char
-    peek() const
-    {
-        QAOA_CHECK(pos_ < text_.size(),
-                   "checkpoint JSON: unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        QAOA_CHECK(peek() == c, "checkpoint JSON: expected '"
-                                    << c << "' at offset " << pos_
-                                    << ", got '" << peek() << "'");
-        ++pos_;
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (peek() != '"') {
-            QAOA_CHECK(peek() != '\\',
-                       "checkpoint JSON: escapes are not supported");
-            out.push_back(text_[pos_++]);
-        }
-        ++pos_;
-        return out;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
-std::string
-joinDoubles(const std::vector<double> &v)
-{
-    std::string out;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += ',';
-        out += formatHexDouble(v[i]);
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitList(const std::string &text, char sep)
-{
-    std::vector<std::string> out;
-    if (text.empty())
-        return out;
-    std::size_t start = 0;
-    for (;;) {
-        const std::size_t pos = text.find(sep, start);
-        if (pos == std::string::npos) {
-            out.push_back(text.substr(start));
-            return out;
-        }
-        out.push_back(text.substr(start, pos - start));
-        start = pos + 1;
-    }
-}
-
-std::vector<double>
-splitDoubles(const std::string &text)
-{
-    std::vector<double> out;
-    for (const std::string &item : splitList(text, ','))
-        out.push_back(parseHexDouble(item));
-    return out;
-}
-
-std::string
-joinInts(const std::vector<int> &v)
-{
-    std::string out;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += ',';
-        out += std::to_string(v[i]);
-    }
-    return out;
-}
-
-int
-parseInt(const std::string &text)
-{
-    std::size_t used = 0;
-    int out = 0;
-    try {
-        out = std::stoi(text, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    QAOA_CHECK(used == text.size() && !text.empty(),
-               "checkpoint: non-integer value: " << text);
-    return out;
-}
-
-std::vector<int>
-splitInts(const std::string &text)
-{
-    std::vector<int> out;
-    for (const std::string &item : splitList(text, ','))
-        out.push_back(parseInt(item));
-    return out;
-}
-
-bool
-parseBool(const std::string &text)
-{
-    QAOA_CHECK(text == "0" || text == "1",
-               "checkpoint: boolean must be 0 or 1, got: " << text);
-    return text == "1";
-}
 
 } // namespace
 
@@ -192,26 +30,6 @@ optPhaseName(OptPhase phase)
 }
 
 std::string
-formatHexDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
-}
-
-double
-parseHexDouble(const std::string &text)
-{
-    QAOA_CHECK(!text.empty(), "checkpoint: empty number");
-    const char *begin = text.c_str();
-    char *end = nullptr;
-    const double out = std::strtod(begin, &end);
-    QAOA_CHECK(end == begin + text.size(),
-               "checkpoint: malformed number: " << text);
-    return out;
-}
-
-std::string
 serializeCheckpoint(const OptCheckpoint &checkpoint)
 {
     std::ostringstream os;
@@ -225,9 +43,9 @@ serializeCheckpoint(const OptCheckpoint &checkpoint)
     field("problem_hash", checkpoint.problem_hash);
     field("phase", optPhaseName(checkpoint.phase));
     field("rng_state", checkpoint.rng_state);
-    field("grid_cursor", joinInts(checkpoint.grid.cursor));
-    field("grid_best_x", joinDoubles(checkpoint.grid.best_x));
-    field("grid_best_value", formatHexDouble(checkpoint.grid.best_value));
+    field("grid_cursor", text::joinInts(checkpoint.grid.cursor));
+    field("grid_best_x", text::joinHexDoubles(checkpoint.grid.best_x));
+    field("grid_best_value", text::formatHexDouble(checkpoint.grid.best_value));
     field("grid_evaluations",
           std::to_string(checkpoint.grid.evaluations));
     field("grid_done", checkpoint.grid.done ? "1" : "0");
@@ -235,16 +53,16 @@ serializeCheckpoint(const OptCheckpoint &checkpoint)
     for (std::size_t i = 0; i < checkpoint.nm.simplex.size(); ++i) {
         if (i)
             simplex += ';';
-        simplex += joinDoubles(checkpoint.nm.simplex[i]);
+        simplex += text::joinHexDoubles(checkpoint.nm.simplex[i]);
     }
     field("nm_simplex", simplex);
-    field("nm_values", joinDoubles(checkpoint.nm.values));
+    field("nm_values", text::joinHexDoubles(checkpoint.nm.values));
     field("nm_iterations", std::to_string(checkpoint.nm.iterations));
     field("nm_evaluations", std::to_string(checkpoint.nm.evaluations));
     field("nm_converged", checkpoint.nm.converged ? "1" : "0");
     field("nm_initialized", checkpoint.nm.initialized ? "1" : "0");
-    field("final_x", joinDoubles(checkpoint.final_x));
-    field("final_value", formatHexDouble(checkpoint.final_value));
+    field("final_x", text::joinHexDoubles(checkpoint.final_x));
+    field("final_value", text::formatHexDouble(checkpoint.final_value));
     field("final_evaluations",
           std::to_string(checkpoint.final_evaluations));
     os << "\n}\n";
@@ -254,15 +72,31 @@ serializeCheckpoint(const OptCheckpoint &checkpoint)
 OptCheckpoint
 parseCheckpoint(const std::string &json)
 {
+    const kv::Record record = kv::parse(json);
+    QAOA_CHECK(record.has("format"), "checkpoint: missing format field");
     OptCheckpoint cp;
-    bool saw_format = false;
-    FlatParser parser(json);
-    parser.parse([&](const std::string &key, const std::string &value) {
+    for (const auto &[key, value] : record.fields()) {
+        const auto integer = [&] {
+            return text::orThrow(text::parseInt(value), "checkpoint", key);
+        };
+        const auto real = [&] {
+            return text::orThrow(text::parseHexDouble(value), "checkpoint",
+                                 key);
+        };
+        const auto reals = [&](const std::string &list) {
+            return text::orThrow(text::parseHexDoubleList(list),
+                                 "checkpoint", key);
+        };
+        const auto flag = [&] {
+            QAOA_CHECK(value == "0" || value == "1",
+                       "checkpoint: " << key << ": boolean must be 0 or 1, "
+                                      << "got: " << value);
+            return value == "1";
+        };
         if (key == "format") {
             QAOA_CHECK(value == kFormat,
                        "checkpoint: unsupported format \"" << value
                                                            << "\"");
-            saw_format = true;
         } else if (key == "problem_hash") {
             cp.problem_hash = value;
         } else if (key == "phase") {
@@ -279,41 +113,41 @@ parseCheckpoint(const std::string &json)
         } else if (key == "rng_state") {
             cp.rng_state = value;
         } else if (key == "grid_cursor") {
-            cp.grid.cursor = splitInts(value);
+            cp.grid.cursor =
+                text::orThrow(text::parseIntList(value), "checkpoint", key);
         } else if (key == "grid_best_x") {
-            cp.grid.best_x = splitDoubles(value);
+            cp.grid.best_x = reals(value);
         } else if (key == "grid_best_value") {
-            cp.grid.best_value = parseHexDouble(value);
+            cp.grid.best_value = real();
         } else if (key == "grid_evaluations") {
-            cp.grid.evaluations = parseInt(value);
+            cp.grid.evaluations = integer();
         } else if (key == "grid_done") {
-            cp.grid.done = parseBool(value);
+            cp.grid.done = flag();
         } else if (key == "nm_simplex") {
             cp.nm.simplex.clear();
-            for (const std::string &row : splitList(value, ';'))
-                cp.nm.simplex.push_back(splitDoubles(row));
+            for (const std::string &row : text::split(value, ';'))
+                cp.nm.simplex.push_back(reals(row));
         } else if (key == "nm_values") {
-            cp.nm.values = splitDoubles(value);
+            cp.nm.values = reals(value);
         } else if (key == "nm_iterations") {
-            cp.nm.iterations = parseInt(value);
+            cp.nm.iterations = integer();
         } else if (key == "nm_evaluations") {
-            cp.nm.evaluations = parseInt(value);
+            cp.nm.evaluations = integer();
         } else if (key == "nm_converged") {
-            cp.nm.converged = parseBool(value);
+            cp.nm.converged = flag();
         } else if (key == "nm_initialized") {
-            cp.nm.initialized = parseBool(value);
+            cp.nm.initialized = flag();
         } else if (key == "final_x") {
-            cp.final_x = splitDoubles(value);
+            cp.final_x = reals(value);
         } else if (key == "final_value") {
-            cp.final_value = parseHexDouble(value);
+            cp.final_value = real();
         } else if (key == "final_evaluations") {
-            cp.final_evaluations = parseInt(value);
+            cp.final_evaluations = integer();
         } else {
             QAOA_CHECK(false,
                        "checkpoint: unknown key \"" << key << "\"");
         }
-    });
-    QAOA_CHECK(saw_format, "checkpoint: missing format field");
+    }
     return cp;
 }
 

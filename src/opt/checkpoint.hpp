@@ -11,9 +11,9 @@
  * bit of the mantissa round-trips and a resumed run's arithmetic is
  * exactly the uninterrupted run's.
  *
- * On-disk format is one flat JSON object with only string values —
- * the same dependency-free grammar as tests/budgets (see
- * analysis/budget.hpp) with vectors flattened to comma-joined fields.
+ * On-disk format is one flat JSON object with only string values, read
+ * and written with the common/kv.hpp codec; vectors are flattened to
+ * comma-joined fields (common/text.hpp).
  * Writes go through a temp file + atomic rename, so a kill mid-write
  * leaves the previous checkpoint intact.
  */
@@ -63,12 +63,6 @@ struct OptCheckpoint
     double final_value = 0.0;
     int final_evaluations = 0;
 };
-
-/** Formats @p v as a C99 hexfloat that round-trips bit-exactly. */
-[[nodiscard]] std::string formatHexDouble(double v);
-
-/** Parses a formatHexDouble() string (plain decimal also accepted). */
-[[nodiscard]] double parseHexDouble(const std::string &text);
 
 /** Serializes to the flat-JSON checkpoint format. */
 [[nodiscard]] std::string serializeCheckpoint(const OptCheckpoint &checkpoint);

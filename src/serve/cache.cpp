@@ -14,7 +14,7 @@
 #include "common/failpoint.hpp"
 #include "common/fs.hpp"
 #include "common/kv.hpp"
-#include "opt/checkpoint.hpp"
+#include "common/text.hpp"
 
 namespace qaoa::serve {
 
@@ -34,35 +34,6 @@ isLegacyTextEntry(const std::string &body)
     } catch (const std::exception &) {
         return false;
     }
-}
-
-std::string
-joinLines(const std::vector<std::string> &lines)
-{
-    std::string out;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (i)
-            out += '\n';
-        out += lines[i];
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t pos = text.find('\n', start);
-        if (pos == std::string::npos) {
-            out.push_back(text.substr(start));
-            break;
-        }
-        out.push_back(text.substr(start, pos - start));
-        start = pos + 1;
-    }
-    return out;
 }
 
 void
@@ -199,9 +170,9 @@ serializeCacheEntry(const CacheEntry &entry)
     rec.set("gate_count", std::to_string(entry.gate_count));
     rec.set("cx_count", std::to_string(entry.cx_count));
     rec.set("swap_count", std::to_string(entry.swap_count));
-    rec.set("compile_ms", opt::formatHexDouble(entry.compile_ms));
+    rec.set("compile_ms", text::formatHexDouble(entry.compile_ms));
     if (!entry.diagnostics.empty())
-        rec.set("diagnostics", joinLines(entry.diagnostics));
+        rec.set("diagnostics", text::join(entry.diagnostics, '\n'));
     return circuit::qbin::encodeArtifact(artifact);
 }
 
@@ -225,13 +196,19 @@ parseCacheEntry(const std::string &bytes)
     entry.qbin = artifact.circuit;
     QAOA_CHECK(!entry.key.empty() && !entry.canonical.empty(),
                "cache entry: missing key/canonical");
-    entry.depth = std::stoi(rec.get("depth"));
-    entry.gate_count = std::stoi(rec.get("gate_count"));
-    entry.cx_count = std::stoi(rec.get("cx_count"));
-    entry.swap_count = std::stoi(rec.get("swap_count"));
-    entry.compile_ms = opt::parseHexDouble(rec.get("compile_ms"));
+    const auto integer = [&](const char *key) {
+        return text::orThrow(text::parseInt(rec.get(key)), "cache entry",
+                             key);
+    };
+    entry.depth = integer("depth");
+    entry.gate_count = integer("gate_count");
+    entry.cx_count = integer("cx_count");
+    entry.swap_count = integer("swap_count");
+    entry.compile_ms =
+        text::orThrow(text::parseHexDouble(rec.get("compile_ms")),
+                      "cache entry", "compile_ms");
     if (rec.has("diagnostics"))
-        entry.diagnostics = splitLines(rec.get("diagnostics"));
+        entry.diagnostics = text::split(rec.get("diagnostics"), '\n');
     return entry;
 }
 

@@ -8,42 +8,9 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/fs.hpp"
-#include "opt/checkpoint.hpp"
+#include "common/text.hpp"
 
 namespace qaoa::serve {
-
-namespace {
-
-std::string
-joinLines(const std::vector<std::string> &lines)
-{
-    std::string out;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (i)
-            out += '\n';
-        out += lines[i];
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t pos = text.find('\n', start);
-        if (pos == std::string::npos) {
-            out.push_back(text.substr(start));
-            break;
-        }
-        out.push_back(text.substr(start, pos - start));
-        start = pos + 1;
-    }
-    return out;
-}
-
-} // namespace
 
 Status
 readFrame(std::istream &in, std::string &payload, std::uint32_t max_bytes)
@@ -175,7 +142,7 @@ encodeResponse(const ServeResponse &r)
     rec.set("cache_hit", r.cache_hit ? "1" : "0");
     rec.set("pressure", r.pressure);
     if (r.type == "shed")
-        rec.set("retry_after_ms", opt::formatHexDouble(r.retry_after_ms));
+        rec.set("retry_after_ms", text::formatHexDouble(r.retry_after_ms));
     if (!r.error.empty())
         rec.set("error", r.error);
     if (!r.error_code.empty())
@@ -191,9 +158,9 @@ encodeResponse(const ServeResponse &r)
         rec.set("cx_count", std::to_string(r.cx_count));
         rec.set("swap_count", std::to_string(r.swap_count));
     }
-    rec.set("compile_ms", opt::formatHexDouble(r.compile_ms));
+    rec.set("compile_ms", text::formatHexDouble(r.compile_ms));
     if (!r.diagnostics.empty())
-        rec.set("diagnostics", joinLines(r.diagnostics));
+        rec.set("diagnostics", text::join(r.diagnostics, '\n'));
     return kv::serialize(rec);
 }
 
@@ -201,6 +168,13 @@ ServeResponse
 decodeResponse(const std::string &payload)
 {
     const kv::Record rec = kv::parse(payload);
+    const auto read = [&](const char *key, auto parse, auto &out) {
+        if (rec.has(key))
+            out = text::orThrow(parse(rec.get(key)), "protocol", key);
+    };
+    const auto integer = [](const std::string &v) {
+        return text::parseInt(v);
+    };
     ServeResponse r;
     r.type = rec.get("type");
     QAOA_CHECK(r.type == "result" || r.type == "shed" ||
@@ -210,26 +184,19 @@ decodeResponse(const std::string &payload)
     r.status = rec.get("status", "");
     r.cache_hit = rec.get("cache_hit", "0") == "1";
     r.pressure = rec.get("pressure", "normal");
-    if (rec.has("retry_after_ms"))
-        r.retry_after_ms = opt::parseHexDouble(rec.get("retry_after_ms"));
+    read("retry_after_ms", text::parseHexDouble, r.retry_after_ms);
     r.error = rec.get("error", "");
     r.error_code = rec.get("error_code", "");
-    if (rec.has("error_offset"))
-        r.error_offset = std::stoll(rec.get("error_offset"));
+    read("error_offset", integer, r.error_offset);
     if (rec.has("qbin"))
         r.qbin = circuit::qbin::fromBase64(rec.get("qbin"));
-    if (rec.has("depth"))
-        r.depth = std::stoi(rec.get("depth"));
-    if (rec.has("gate_count"))
-        r.gate_count = std::stoi(rec.get("gate_count"));
-    if (rec.has("cx_count"))
-        r.cx_count = std::stoi(rec.get("cx_count"));
-    if (rec.has("swap_count"))
-        r.swap_count = std::stoi(rec.get("swap_count"));
-    if (rec.has("compile_ms"))
-        r.compile_ms = opt::parseHexDouble(rec.get("compile_ms"));
+    read("depth", integer, r.depth);
+    read("gate_count", integer, r.gate_count);
+    read("cx_count", integer, r.cx_count);
+    read("swap_count", integer, r.swap_count);
+    read("compile_ms", text::parseHexDouble, r.compile_ms);
     if (rec.has("diagnostics"))
-        r.diagnostics = splitLines(rec.get("diagnostics"));
+        r.diagnostics = text::split(rec.get("diagnostics"), '\n');
     return r;
 }
 

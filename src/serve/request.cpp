@@ -4,8 +4,8 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/text.hpp"
 #include "graph/io.hpp"
-#include "opt/checkpoint.hpp"
 
 namespace qaoa::serve {
 
@@ -28,111 +28,9 @@ canonicalGraph(const graph::Graph &g)
     for (const graph::Edge &e : g.edges()) {
         out += ';';
         out += std::to_string(e.u) + "-" + std::to_string(e.v) + "@" +
-               opt::formatHexDouble(e.weight);
+               text::formatHexDouble(e.weight);
     }
     return out;
-}
-
-std::string
-joinDoubles(const std::vector<double> &v)
-{
-    std::string out;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += ',';
-        out += opt::formatHexDouble(v[i]);
-    }
-    return out;
-}
-
-std::vector<double>
-splitDoubles(const std::string &text)
-{
-    std::vector<double> out;
-    std::size_t start = 0;
-    while (start <= text.size() && !text.empty()) {
-        const std::size_t pos = text.find(',', start);
-        const std::string item =
-            pos == std::string::npos ? text.substr(start)
-                                     : text.substr(start, pos - start);
-        out.push_back(opt::parseHexDouble(item));
-        if (pos == std::string::npos)
-            break;
-        start = pos + 1;
-    }
-    return out;
-}
-
-std::string
-joinInts(const std::vector<int> &v)
-{
-    std::string out;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += ',';
-        out += std::to_string(v[i]);
-    }
-    return out;
-}
-
-std::vector<int>
-splitInts(const std::string &text)
-{
-    std::vector<int> out;
-    std::size_t start = 0;
-    while (start <= text.size() && !text.empty()) {
-        const std::size_t pos = text.find(',', start);
-        const std::string item =
-            pos == std::string::npos ? text.substr(start)
-                                     : text.substr(start, pos - start);
-        QAOA_CHECK(!item.empty(),
-                   "request: empty item in int list: " << text);
-        out.push_back(std::stoi(item));
-        if (pos == std::string::npos)
-            break;
-        start = pos + 1;
-    }
-    return out;
-}
-
-std::string
-joinEdges(const std::vector<std::pair<int, int>> &edges)
-{
-    std::string out;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-        if (i)
-            out += ',';
-        out += std::to_string(edges[i].first) + "-" +
-               std::to_string(edges[i].second);
-    }
-    return out;
-}
-
-std::vector<std::pair<int, int>>
-splitEdges(const std::string &text)
-{
-    std::vector<std::pair<int, int>> out;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        QAOA_CHECK(!item.empty(),
-                   "request: empty item in edge list: " << text);
-        const std::size_t dash = item.find('-');
-        QAOA_CHECK(dash != std::string::npos && dash > 0 &&
-                       dash + 1 < item.size(),
-                   "request: bad edge (want a-b): " << item);
-        out.emplace_back(std::stoi(item.substr(0, dash)),
-                         std::stoi(item.substr(dash + 1)));
-    }
-    return out;
-}
-
-bool
-parseBool(const std::string &text, const char *what)
-{
-    QAOA_CHECK(text == "0" || text == "1",
-               "request: " << what << " must be 0 or 1, got: " << text);
-    return text == "1";
 }
 
 } // namespace
@@ -148,21 +46,21 @@ canonicalText(const CompileRequest &r)
        << "graph=" << canonicalGraph(r.problem) << "\n"
        << "device=" << r.device << "\n"
        << "method=" << r.method << "\n"
-       << "gammas=" << joinDoubles(r.gammas) << "\n"
-       << "betas=" << joinDoubles(r.betas) << "\n"
+       << "gammas=" << text::joinHexDoubles(r.gammas) << "\n"
+       << "betas=" << text::joinHexDoubles(r.betas) << "\n"
        << "packing=" << r.packing_limit << "\n"
        << "seed=" << r.seed << "\n"
-       << "fault.dead=" << joinInts(r.faults.dead_qubits) << "\n"
-       << "fault.edges=" << joinEdges(r.faults.disabled_edges) << "\n"
+       << "fault.dead=" << text::joinInts(r.faults.dead_qubits) << "\n"
+       << "fault.edges=" << text::joinPairs(r.faults.disabled_edges) << "\n"
        << "fault.qubit_rate="
-       << opt::formatHexDouble(r.faults.qubit_fault_rate) << "\n"
+       << text::formatHexDouble(r.faults.qubit_fault_rate) << "\n"
        << "fault.edge_rate="
-       << opt::formatHexDouble(r.faults.edge_fault_rate) << "\n"
+       << text::formatHexDouble(r.faults.edge_fault_rate) << "\n"
        << "fault.drift="
-       << opt::formatHexDouble(r.faults.drift_multiplier) << "\n"
+       << text::formatHexDouble(r.faults.drift_multiplier) << "\n"
        << "fault.seed=" << r.faults.seed << "\n"
        << "router.lookahead_weight="
-       << opt::formatHexDouble(r.lookahead_weight) << "\n"
+       << text::formatHexDouble(r.lookahead_weight) << "\n"
        << "router.lookahead_depth=" << r.lookahead_depth << "\n"
        << "router.seed=" << r.router_seed << "\n"
        << "decompose=" << (r.decompose ? 1 : 0) << "\n"
@@ -170,7 +68,7 @@ canonicalText(const CompileRequest &r)
        << "fallbacks=" << (r.allow_fallbacks ? 1 : 0) << "\n"
        << "verify=" << (r.verify ? 1 : 0) << "\n"
        << "analyze=" << (r.analyze_quality ? 1 : 0) << "\n"
-       << "stage_budget=" << opt::formatHexDouble(r.stage_budget_ms)
+       << "stage_budget=" << text::formatHexDouble(r.stage_budget_ms)
        << "\n";
     return os.str();
 }
@@ -190,29 +88,29 @@ requestToRecord(const CompileRequest &r, kv::Record &out)
     if (!r.tenant.empty())
         out.set("tenant", r.tenant);
     if (r.timeout_ms >= 0.0)
-        out.set("timeout_ms", opt::formatHexDouble(r.timeout_ms));
+        out.set("timeout_ms", text::formatHexDouble(r.timeout_ms));
     out.set("graph", graph::writeEdgeList(r.problem));
     out.set("device", r.device);
     out.set("method", r.method);
-    out.set("gammas", joinDoubles(r.gammas));
-    out.set("betas", joinDoubles(r.betas));
+    out.set("gammas", text::joinHexDoubles(r.gammas));
+    out.set("betas", text::joinHexDoubles(r.betas));
     out.set("packing", std::to_string(r.packing_limit));
     out.set("seed", std::to_string(r.seed));
     if (!r.faults.dead_qubits.empty())
-        out.set("dead_qubits", joinInts(r.faults.dead_qubits));
+        out.set("dead_qubits", text::joinInts(r.faults.dead_qubits));
     if (!r.faults.disabled_edges.empty())
-        out.set("disabled_edges", joinEdges(r.faults.disabled_edges));
+        out.set("disabled_edges", text::joinPairs(r.faults.disabled_edges));
     if (r.faults.qubit_fault_rate != 0.0)
         out.set("fault_qubit_rate",
-                opt::formatHexDouble(r.faults.qubit_fault_rate));
+                text::formatHexDouble(r.faults.qubit_fault_rate));
     if (r.faults.edge_fault_rate != 0.0)
         out.set("fault_edge_rate",
-                opt::formatHexDouble(r.faults.edge_fault_rate));
+                text::formatHexDouble(r.faults.edge_fault_rate));
     if (r.faults.drift_multiplier != 1.0)
         out.set("fault_drift",
-                opt::formatHexDouble(r.faults.drift_multiplier));
+                text::formatHexDouble(r.faults.drift_multiplier));
     out.set("fault_seed", std::to_string(r.faults.seed));
-    out.set("lookahead_weight", opt::formatHexDouble(r.lookahead_weight));
+    out.set("lookahead_weight", text::formatHexDouble(r.lookahead_weight));
     out.set("lookahead_depth", std::to_string(r.lookahead_depth));
     out.set("router_seed", std::to_string(r.router_seed));
     out.set("decompose", r.decompose ? "1" : "0");
@@ -222,17 +120,34 @@ requestToRecord(const CompileRequest &r, kv::Record &out)
     out.set("analyze", r.analyze_quality ? "1" : "0");
     if (r.stage_budget_ms >= 0.0)
         out.set("stage_budget_ms",
-                opt::formatHexDouble(r.stage_budget_ms));
+                text::formatHexDouble(r.stage_budget_ms));
 }
 
 CompileRequest
 requestFromRecord(const kv::Record &record, int max_nodes)
 {
+    // Each present field must parse as a whole token; a failure throws
+    // an InvalidArgument Error naming the field.
+    const auto read = [&](const char *key, auto parse, auto &out) {
+        if (record.has(key))
+            out = text::orThrow(parse(record.get(key)), "request", key);
+    };
+    const auto hexDouble = text::parseHexDouble;
+    const auto uint64 = text::parseUint64;
+    const auto integer = [](const std::string &v) {
+        return text::parseInt(v);
+    };
+    const auto flag = [](const std::string &v) -> StatusOr<bool> {
+        if (v != "0" && v != "1")
+            return Status(ErrorCode::InvalidArgument,
+                          "must be 0 or 1, got: " + v);
+        return v == "1";
+    };
+
     CompileRequest r;
     r.id = record.get("id", "");
     r.tenant = record.get("tenant", "");
-    if (record.has("timeout_ms"))
-        r.timeout_ms = opt::parseHexDouble(record.get("timeout_ms"));
+    read("timeout_ms", hexDouble, r.timeout_ms);
     r.problem = graph::parseEdgeList(record.get("graph"));
     QAOA_CHECK(r.problem.numNodes() >= 1 &&
                    r.problem.numNodes() <= max_nodes,
@@ -245,52 +160,29 @@ requestFromRecord(const kv::Record &record, int max_nodes)
     (void)hw::deviceByName(r.device);
     // qe-allow(QE104): lookup-as-validation — only the throw matters.
     (void)core::methodFromName(r.method);
-    if (record.has("gammas"))
-        r.gammas = splitDoubles(record.get("gammas"));
-    if (record.has("betas"))
-        r.betas = splitDoubles(record.get("betas"));
+    read("gammas", text::parseHexDoubleList, r.gammas);
+    read("betas", text::parseHexDoubleList, r.betas);
     QAOA_CHECK(!r.gammas.empty() && r.gammas.size() == r.betas.size(),
                "request: gammas/betas must be non-empty and equal-length");
-    if (record.has("packing"))
-        r.packing_limit = std::stoi(record.get("packing"));
-    if (record.has("seed"))
-        r.seed = std::stoull(record.get("seed"));
-    if (record.has("dead_qubits"))
-        r.faults.dead_qubits = splitInts(record.get("dead_qubits"));
-    if (record.has("disabled_edges"))
-        r.faults.disabled_edges = splitEdges(record.get("disabled_edges"));
-    if (record.has("fault_qubit_rate"))
-        r.faults.qubit_fault_rate =
-            opt::parseHexDouble(record.get("fault_qubit_rate"));
-    if (record.has("fault_edge_rate"))
-        r.faults.edge_fault_rate =
-            opt::parseHexDouble(record.get("fault_edge_rate"));
-    if (record.has("fault_drift"))
-        r.faults.drift_multiplier =
-            opt::parseHexDouble(record.get("fault_drift"));
-    if (record.has("fault_seed"))
-        r.faults.seed = std::stoull(record.get("fault_seed"));
-    if (record.has("lookahead_weight"))
-        r.lookahead_weight =
-            opt::parseHexDouble(record.get("lookahead_weight"));
-    if (record.has("lookahead_depth"))
-        r.lookahead_depth = std::stoi(record.get("lookahead_depth"));
-    if (record.has("router_seed"))
-        r.router_seed = std::stoull(record.get("router_seed"));
-    if (record.has("decompose"))
-        r.decompose = parseBool(record.get("decompose"), "decompose");
-    if (record.has("peephole"))
-        r.peephole = parseBool(record.get("peephole"), "peephole");
-    if (record.has("fallbacks"))
-        r.allow_fallbacks =
-            parseBool(record.get("fallbacks"), "fallbacks");
-    if (record.has("verify"))
-        r.verify = parseBool(record.get("verify"), "verify");
-    if (record.has("analyze"))
-        r.analyze_quality = parseBool(record.get("analyze"), "analyze");
-    if (record.has("stage_budget_ms"))
-        r.stage_budget_ms =
-            opt::parseHexDouble(record.get("stage_budget_ms"));
+    read("packing", integer, r.packing_limit);
+    read("seed", uint64, r.seed);
+    read("dead_qubits",
+         [](const std::string &v) { return text::parseIntList(v); },
+         r.faults.dead_qubits);
+    read("disabled_edges", text::parsePairList, r.faults.disabled_edges);
+    read("fault_qubit_rate", hexDouble, r.faults.qubit_fault_rate);
+    read("fault_edge_rate", hexDouble, r.faults.edge_fault_rate);
+    read("fault_drift", hexDouble, r.faults.drift_multiplier);
+    read("fault_seed", uint64, r.faults.seed);
+    read("lookahead_weight", hexDouble, r.lookahead_weight);
+    read("lookahead_depth", integer, r.lookahead_depth);
+    read("router_seed", uint64, r.router_seed);
+    read("decompose", flag, r.decompose);
+    read("peephole", flag, r.peephole);
+    read("fallbacks", flag, r.allow_fallbacks);
+    read("verify", flag, r.verify);
+    read("analyze", flag, r.analyze_quality);
+    read("stage_budget_ms", hexDouble, r.stage_budget_ms);
     return r;
 }
 
@@ -301,28 +193,14 @@ tryRequestFromRecord(const kv::Record &record, int max_nodes)
         return requestFromRecord(record, max_nodes);
     } catch (const Error &e) {
         return e.status();
-    } catch (const std::invalid_argument &e) {
-        // std::sto* rejects an unparseable numeric field this way; it
-        // derives from logic_error but describes the CLIENT's input.
-        return Status(ErrorCode::Malformed,
-                      std::string("request: unparseable numeric field: ") +
-                          e.what());
-    } catch (const std::out_of_range &e) {
-        return Status(ErrorCode::Malformed,
-                      std::string("request: numeric field out of range: ") +
-                          e.what());
     } catch (const std::exception &e) {
         return Status(ErrorCode::InvalidArgument, e.what());
     }
 }
 
 RequestEnvironment::RequestEnvironment(const CompileRequest &request)
-    : base_map(hw::deviceByName(request.device)),
-      base_calib(hw::defaultCalibration(base_map))
+    : DeviceView(request.device, request.faults)
 {
-    if (!request.faults.empty())
-        injector = std::make_unique<hw::FaultInjector>(
-            base_map, request.faults, &base_calib);
 }
 
 std::unique_ptr<RequestEnvironment>
@@ -350,11 +228,8 @@ makeOptions(const CompileRequest &r, const RequestEnvironment &env)
     opts.verify = r.verify;
     opts.analyze_quality = r.analyze_quality;
     opts.stage_budget_ms = r.stage_budget_ms;
-    if (env.injector) {
-        opts.allowed_qubits = &env.injector->usable();
-        opts.device_degraded = !env.injector->deadQubits().empty() ||
-                               !env.injector->disabledEdges().empty();
-    }
+    opts.allowed_qubits = env.allowedQubits();
+    opts.device_degraded = env.degraded();
     return opts;
 }
 

@@ -80,51 +80,25 @@ void requestToRecord(const CompileRequest &request, kv::Record &out);
  * are rejected here (before the request is admitted), as are graphs
  * beyond @p max_nodes.
  *
- * @throws std::runtime_error on malformed or out-of-contract fields.
+ * @throws std::runtime_error on malformed or out-of-contract fields;
+ *         numeric fields must parse as whole tokens (common/text.hpp).
  */
 [[nodiscard]] CompileRequest requestFromRecord(const kv::Record &record,
                                                int max_nodes = 64);
 
 /**
- * Non-throwing requestFromRecord() for untrusted wire input: the
- * Status classifies the rejection (InvalidArgument for out-of-contract
- * fields, Malformed for unparseable ones).
+ * Non-throwing requestFromRecord() for untrusted wire input: an
+ * out-of-contract or unparseable field is InvalidArgument, naming the
+ * field.
  */
 [[nodiscard]] StatusOr<CompileRequest>
 tryRequestFromRecord(const kv::Record &record, int max_nodes = 64);
 
-/**
- * The hardware view a request compiles against.  Owns the base device,
- * its calibration, and (when the request injects faults) the
- * FaultInjector holding the degraded map — kept alive together because
- * QaoaCompileOptions points into them.  Not copyable or movable (the
- * calibration points at the owned map); makeEnvironment() returns it
- * behind a unique_ptr.
- */
-struct RequestEnvironment
+/** The hardware view a request compiles against: its device, seen
+ *  through the request's faults (hw::DeviceView). */
+struct RequestEnvironment : hw::DeviceView
 {
     explicit RequestEnvironment(const CompileRequest &request);
-
-    RequestEnvironment(const RequestEnvironment &) = delete;
-    RequestEnvironment &operator=(const RequestEnvironment &) = delete;
-
-    hw::CouplingMap base_map;
-    hw::CalibrationData base_calib;
-    std::unique_ptr<hw::FaultInjector> injector; ///< Null when no faults.
-
-    /** The map to compile against (degraded view when faulty). */
-    const hw::CouplingMap &
-    map() const
-    {
-        return injector ? injector->map() : base_map;
-    }
-
-    /** Matching calibration data. */
-    const hw::CalibrationData &
-    calibration() const
-    {
-        return injector ? injector->calibration() : base_calib;
-    }
 };
 
 /** Builds the hardware view of @p request (resolves device + faults). */

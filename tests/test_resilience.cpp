@@ -20,6 +20,7 @@
 #include "common/guard.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "circuit/circuit.hpp"
 #include "hardware/devices.hpp"
 #include "metrics/harness.hpp"
@@ -579,8 +580,8 @@ TEST(CheckpointTest, HexDoublesRoundTripExactly)
 {
     for (double v : {0.0, -0.0, 1.0, -1.5, 3.141592653589793,
                      6.62607015e-34, 1.7976931348623157e308}) {
-        const std::string text = opt::formatHexDouble(v);
-        EXPECT_EQ(opt::parseHexDouble(text), v) << text;
+        const std::string hex = text::formatHexDouble(v);
+        EXPECT_EQ(text::parseHexDouble(hex).value(), v) << hex;
     }
 }
 

@@ -374,25 +374,42 @@ TEST(RequestTest, DecoderRejectsBadRequests)
     }
 }
 
+/** smallRequest()'s wire record with @p key set to @p value. */
+kv::Record
+with_field(const std::string &key, const std::string &value)
+{
+    kv::Record base;
+    serve::requestToRecord(smallRequest(), base);
+    kv::Record rec;
+    for (const auto &[k, v] : base.fields())
+        if (k != key)
+            rec.set(k, v);
+    rec.set(key, value);
+    return rec;
+}
+
 TEST(RequestTest, DecoderRejectsEmptyItemsInLists)
 {
-    const auto with_field = [](const std::string &key,
-                               const std::string &value) {
-        kv::Record rec;
-        serve::requestToRecord(smallRequest(), rec);
-        rec.set(key, value);
-        return rec;
-    };
-    EXPECT_THROW(serve::requestFromRecord(with_field("dead_qubits", "1,,2")),
-                 std::runtime_error)
-        << "empty item inside an int list";
-    EXPECT_THROW(serve::requestFromRecord(with_field("dead_qubits", "1,2,")),
-                 std::runtime_error)
-        << "trailing comma in an int list";
-    EXPECT_THROW(
-        serve::requestFromRecord(with_field("disabled_edges", "0-1,,1-2")),
-        std::runtime_error)
-        << "empty item inside an edge list";
+    // Empty list items, and numbers that do not parse as a whole token
+    // (a sign on an unsigned field, a trailing byte): each is an
+    // invalid_argument naming the field — never a wrapped seed,
+    // packing 7 or dead qubit 3.
+    const std::pair<const char *, const char *> bad_fields[] = {
+        {"dead_qubits", "1,,2"},        {"dead_qubits", "1,2,"},
+        {"disabled_edges", "0-1,,1-2"}, {"seed", "-1"},
+        {"packing", "7abc"},            {"dead_qubits", "3x"}};
+    for (const auto &[key, value] : bad_fields) {
+        const kv::Record rec = with_field(key, value);
+        EXPECT_THROW(serve::requestFromRecord(rec), std::runtime_error)
+            << key << "=" << value;
+        const StatusOr<CompileRequest> decoded =
+            serve::tryRequestFromRecord(rec);
+        ASSERT_FALSE(decoded.ok()) << key << "=" << value;
+        EXPECT_STREQ(errorCodeName(decoded.status().code()),
+                     "invalid_argument");
+        EXPECT_NE(decoded.status().message().find(key), std::string::npos)
+            << decoded.status().message();
+    }
 }
 
 // ---------------------------------------------------------- protocol --
@@ -700,12 +717,23 @@ TEST(CacheTest, QuarantinesCorruptEntriesInsteadOfFailing)
         << serve::serializeCacheEntry(makeEntry("other"));
     // And a stale temp file from a killed writer.
     std::ofstream(dir + "/x.cce.tmp.99.1") << "partial";
+    // A well-formed entry whose depth metadata reads "12x": numeric
+    // metadata parses as a whole token, so it is undecodable, not 12.
+    circuit::qbin::Artifact bad_depth = circuit::qbin::decodeArtifact(
+        serve::serializeCacheEntry(makeEntry("baddepth")));
+    kv::Record meta;
+    for (const auto &[key, value] : bad_depth.meta.fields())
+        meta.set(key, key == "depth" ? "12x" : value);
+    bad_depth.meta = meta;
+    std::ofstream(dir + "/baddepth.cce", std::ios::binary)
+        << circuit::qbin::encodeArtifact(bad_depth);
 
     CompileCache reloaded({}, nullptr, dir);
     reloaded.loadFromDir();
     EXPECT_EQ(reloaded.stats().loaded, 1u);
-    EXPECT_EQ(reloaded.stats().quarantined, 2u);
+    EXPECT_EQ(reloaded.stats().quarantined, 3u);
     EXPECT_TRUE(reloaded.get("good", "canon:good").has_value());
+    EXPECT_FALSE(reloaded.get("baddepth", "canon:baddepth").has_value());
 
     std::string body;
     EXPECT_TRUE(

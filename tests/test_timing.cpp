@@ -4,12 +4,12 @@
 
 #include <cmath>
 
+#include "analysis/timing.hpp"
 #include "graph/generators.hpp"
 #include "hardware/devices.hpp"
-#include "metrics/timing.hpp"
 #include "qaoa/api.hpp"
 
-namespace qaoa::metrics {
+namespace qaoa::analysis {
 namespace {
 
 using circuit::Circuit;
@@ -121,4 +121,4 @@ TEST(Timing, ShallowCompilationRunsFaster)
 }
 
 } // namespace
-} // namespace qaoa::metrics
+} // namespace qaoa::analysis

@@ -1,22 +1,7 @@
 /**
  * @file
- * qaoa_compile — command-line front end for the compilation pipeline.
- *
- * Usage:
- *   qaoa_compile --graph FILE [--method naive|greedyv|qaim|ip|ic|vic]
- *                [--preset o0|o1|o2|o3]
- *                [--device tokyo|melbourne|poughkeepsie|heavyhex|
- *                 grid6x6|linearN|ringN]
- *                [--gamma G] [--beta B] [--levels P] [--packing N]
- *                [--seed S] [--peephole] [--qasm OUT.qasm]
- *                [--qbin OUT.qbin] [--no-decompose]
- *                [--fault-edge-rate R] [--fault-qubit-rate R]
- *                [--fault-seed S] [--dead-qubits a,b,c]
- *                [--disable-edges a-b,c-d] [--drift M]
- *                [--verify] [--verify-strict] [--verify-csv]
- *                [--timeout-ms MS] [--stage-budget MS]
- *                [--workload fig11] [--instances N]
- *                [--optimize-p1] [--checkpoint FILE] [--resume]
+ * qaoa_compile — command-line front end for the compilation pipeline
+ * (run with --help for the flags).
  *
  * Reads a MaxCut problem graph in the edge-list format (see
  * graph/io.hpp), compiles it with the chosen methodology and prints the
@@ -48,140 +33,33 @@
  * 2 usage error, 3 verification failure, 4 timeout.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "circuit/qasm.hpp"
 #include "circuit/qbin.hpp"
 #include "common/error.hpp"
+#include "common/flags.hpp"
 #include "common/guard.hpp"
-#include "opt/checkpoint.hpp"
+#include "common/text.hpp"
 #include "graph/io.hpp"
 #include "hardware/devices.hpp"
-#include "hardware/faults.hpp"
 #include "metrics/harness.hpp"
+#include "opt/checkpoint.hpp"
 #include "qaoa/api.hpp"
 #include "qaoa/presets.hpp"
 #include "qaoa/problem.hpp"
 #include "sim/success.hpp"
+#include "tool_support.hpp"
 #include "verify/verifier.hpp"
 
 namespace {
 
 using namespace qaoa;
-
-void
-usage()
-{
-    std::cerr
-        << "usage: qaoa_compile --graph FILE [options]\n"
-           "  --method M    naive|greedyv|qaim|ip|ic|vic (default ic)\n"
-           "  --preset L    o0|o1|o2|o3 (overrides --method/--peephole)\n"
-           "  --device D    tokyo|melbourne|poughkeepsie|heavyhex|"
-           "grid6x6|linearN|ringN (default melbourne)\n"
-           "  --gamma G     cost angle per level (default 0.7)\n"
-           "  --beta B      mixer angle per level (default 0.35)\n"
-           "  --levels P    QAOA levels (default 1)\n"
-           "  --packing N   max CPHASEs per layer (default unlimited)\n"
-           "  --seed S      master seed (default 7)\n"
-           "  --peephole    run the peephole optimizer\n"
-           "  --qasm FILE   write compiled OpenQASM\n"
-           "  --qbin FILE   write a bit-exact qbin artifact "
-           "(circuit + metadata)\n"
-           "  --no-decompose  keep high-level gates\n"
-           "fault injection (hardware/faults.hpp):\n"
-           "  --fault-edge-rate R   disable each coupling with prob R\n"
-           "  --fault-qubit-rate R  kill each qubit with prob R\n"
-           "  --fault-seed S        seed of the fault stream (default "
-           "2020)\n"
-           "  --dead-qubits LIST    explicit dead qubits, e.g. 3,7,12\n"
-           "  --disable-edges LIST  explicit couplings, e.g. 0-1,4-5\n"
-           "  --drift M             multiply CNOT error rates by M\n"
-           "  --no-fallbacks        fail instead of retrying/falling "
-           "back\n"
-           "verification (verify/):\n"
-           "  --verify        print the translation-validation report; "
-           "exit 3 on errors\n"
-           "  --verify-strict exit 3 on any finding, warnings included\n"
-           "  --verify-csv    render the findings table as CSV\n"
-           "resilience (common/guard.hpp):\n"
-           "  --timeout-ms MS   total compile deadline; exit 4 when it "
-           "expires\n"
-           "  --stage-budget MS watchdog budget per retry-ladder rung\n"
-           "  --workload fig11  compile the scaled Fig. 11 pool under "
-           "one deadline\n"
-           "  --instances N     instances per workload class (default "
-           "3)\n"
-           "  --optimize-p1     run the p=1 (gamma, beta) search instead "
-           "of compiling\n"
-           "  --checkpoint FILE save optimizer state after every "
-           "committed step\n"
-           "  --resume          continue from --checkpoint if it "
-           "exists\n";
-}
-
-/** Parses "3,7,12" into a list of qubit indices. */
-std::vector<int>
-parseQubitList(const std::string &text)
-{
-    std::vector<int> qubits;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            qubits.push_back(std::stoi(item));
-    if (qubits.empty())
-        throw std::runtime_error("empty qubit list: " + text);
-    return qubits;
-}
-
-/** Parses "0-1,4-5" into a list of couplings. */
-std::vector<std::pair<int, int>>
-parseEdgeList(const std::string &text)
-{
-    std::vector<std::pair<int, int>> edges;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            continue;
-        std::size_t dash = item.find('-');
-        if (dash == std::string::npos || dash == 0 ||
-            dash + 1 >= item.size())
-            throw std::runtime_error("bad edge (want a-b): " + item);
-        edges.emplace_back(std::stoi(item.substr(0, dash)),
-                           std::stoi(item.substr(dash + 1)));
-    }
-    if (edges.empty())
-        throw std::runtime_error("empty edge list: " + text);
-    return edges;
-}
-
-/** Scaled Fig. 11 instance pool (same classes as qaoa_lint). */
-std::vector<graph::Graph>
-fig11Workload(int n, int count, std::uint64_t seed)
-{
-    std::vector<graph::Graph> pool;
-    for (int i = 0; i < 6; ++i) {
-        double p = 0.1 + 0.1 * i;
-        for (auto &g : metrics::erdosRenyiInstances(
-                 n, p, count, seed + static_cast<std::uint64_t>(i)))
-            pool.push_back(std::move(g));
-    }
-    for (int k = 3; k <= 8; ++k) {
-        for (auto &g : metrics::regularInstances(
-                 n, k, count, seed + 100 + static_cast<std::uint64_t>(k)))
-            pool.push_back(std::move(g));
-    }
-    return pool;
-}
 
 /** Prints the retry-ladder flight record of one compile. */
 void
@@ -216,104 +94,66 @@ runCompile(int argc, char **argv)
     bool resume = false;
     hw::FaultSpec faults;
 
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(flag) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        try {
-            if (!std::strcmp(argv[i], "--graph"))
-                graph_path = next("--graph");
-            else if (!std::strcmp(argv[i], "--method"))
-                method = next("--method");
-            else if (!std::strcmp(argv[i], "--device"))
-                device = next("--device");
-            else if (!std::strcmp(argv[i], "--gamma"))
-                gamma = std::stod(next("--gamma"));
-            else if (!std::strcmp(argv[i], "--beta"))
-                beta = std::stod(next("--beta"));
-            else if (!std::strcmp(argv[i], "--levels"))
-                levels = std::stoi(next("--levels"));
-            else if (!std::strcmp(argv[i], "--packing"))
-                packing = std::stoi(next("--packing"));
-            else if (!std::strcmp(argv[i], "--seed"))
-                seed = std::stoull(next("--seed"));
-            else if (!std::strcmp(argv[i], "--qasm"))
-                qasm_path = next("--qasm");
-            else if (!std::strcmp(argv[i], "--qbin"))
-                qbin_path = next("--qbin");
-            else if (!std::strcmp(argv[i], "--no-decompose"))
-                decompose = false;
-            else if (!std::strcmp(argv[i], "--peephole"))
-                peephole = true;
-            else if (!std::strcmp(argv[i], "--preset"))
-                preset = next("--preset");
-            else if (!std::strcmp(argv[i], "--fault-edge-rate"))
-                faults.edge_fault_rate =
-                    std::stod(next("--fault-edge-rate"));
-            else if (!std::strcmp(argv[i], "--fault-qubit-rate"))
-                faults.qubit_fault_rate =
-                    std::stod(next("--fault-qubit-rate"));
-            else if (!std::strcmp(argv[i], "--fault-seed"))
-                faults.seed = std::stoull(next("--fault-seed"));
-            else if (!std::strcmp(argv[i], "--dead-qubits"))
-                faults.dead_qubits =
-                    parseQubitList(next("--dead-qubits"));
-            else if (!std::strcmp(argv[i], "--disable-edges"))
-                faults.disabled_edges =
-                    parseEdgeList(next("--disable-edges"));
-            else if (!std::strcmp(argv[i], "--drift"))
-                faults.drift_multiplier = std::stod(next("--drift"));
-            else if (!std::strcmp(argv[i], "--no-fallbacks"))
-                fallbacks = false;
-            else if (!std::strcmp(argv[i], "--timeout-ms"))
-                timeout_ms = std::stod(next("--timeout-ms"));
-            else if (!std::strcmp(argv[i], "--stage-budget"))
-                stage_budget_ms = std::stod(next("--stage-budget"));
-            else if (!std::strcmp(argv[i], "--workload"))
-                workload = next("--workload");
-            else if (!std::strcmp(argv[i], "--instances"))
-                instances = std::stoi(next("--instances"));
-            else if (!std::strcmp(argv[i], "--optimize-p1"))
-                optimize_p1 = true;
-            else if (!std::strcmp(argv[i], "--checkpoint"))
-                checkpoint_path = next("--checkpoint");
-            else if (!std::strcmp(argv[i], "--resume"))
-                resume = true;
-            else if (!std::strcmp(argv[i], "--verify"))
-                run_verify = true;
-            else if (!std::strcmp(argv[i], "--verify-strict"))
-                run_verify = verify_strict = true;
-            else if (!std::strcmp(argv[i], "--verify-csv"))
-                run_verify = verify_csv = true;
-            else if (!std::strcmp(argv[i], "--help")) {
-                usage();
-                return 0;
-            } else {
-                std::cerr << "unknown flag: " << argv[i] << "\n";
-                usage();
-                return 2;
-            }
-        } catch (const std::exception &e) {
-            std::cerr << "error: " << e.what() << "\n";
-            return 2;
-        }
-    }
-    if (graph_path.empty() == workload.empty()) {
-        std::cerr << "error: need exactly one of --graph / --workload\n";
-        usage();
-        return 2;
-    }
-    if (!workload.empty() && workload != "fig11") {
-        std::cerr << "error: unknown workload: " << workload << "\n";
-        return 2;
-    }
-    if (optimize_p1 && graph_path.empty()) {
-        std::cerr << "error: --optimize-p1 needs --graph\n";
-        return 2;
-    }
+    cli::FlagTable flags("usage: qaoa_compile --graph FILE [options]");
+    flags.text("--graph", "FILE", "MaxCut problem graph (edge list)",
+               graph_path)
+        .text("--method", "M", "naive|greedyv|qaim|ip|ic|vic (default ic)",
+              method)
+        .choice("--preset", "overrides --method/--peephole", preset,
+                {"o0", "o1", "o2", "o3"})
+        .text("--device", "D",
+              "tokyo|melbourne|poughkeepsie|heavyhex|grid6x6|linearN|ringN "
+              "(default melbourne)",
+              device)
+        .real("--gamma", "G", "cost angle per level (default 0.7)", gamma)
+        .real("--beta", "B", "mixer angle per level (default 0.35)", beta)
+        .integer("--levels", "P", "QAOA levels (default 1)", levels, 1)
+        .integer("--packing", "N",
+                 "max CPHASEs per layer (default unlimited)", packing)
+        .uint64("--seed", "S", "master seed (default 7)", seed)
+        .setFlag("--peephole", "run the peephole optimizer", peephole)
+        .text("--qasm", "FILE", "write compiled OpenQASM", qasm_path)
+        .text("--qbin", "FILE",
+              "write a bit-exact qbin artifact (circuit + metadata)",
+              qbin_path)
+        .setFlag("--no-decompose", "keep high-level gates", decompose, false);
+    tools::addFaultFlags(flags, faults);
+    flags.real("--drift", "M", "multiply CNOT error rates by M",
+               faults.drift_multiplier)
+        .setFlag("--no-fallbacks", "fail instead of retrying/falling back",
+                 fallbacks, false)
+        .section("verification (verify/):")
+        .setFlag("--verify",
+                 "print the translation-validation report; exit 3 on errors",
+                 run_verify)
+        .toggle("--verify-strict", "exit 3 on any finding, warnings included",
+                [&] { run_verify = verify_strict = true; })
+        .toggle("--verify-csv", "render the findings table as CSV",
+                [&] { run_verify = verify_csv = true; })
+        .section("resilience (common/guard.hpp):")
+        .real("--timeout-ms", "MS",
+              "total compile deadline; exit 4 when it expires", timeout_ms)
+        .real("--stage-budget", "MS", "watchdog budget per retry-ladder rung",
+              stage_budget_ms)
+        .choice("--workload",
+                "compile the scaled Fig. 11 pool under one deadline",
+                workload, {"fig11"})
+        .integer("--instances", "N",
+                 "instances per workload class (default 3)", instances, 1)
+        .setFlag("--optimize-p1",
+                 "run the p=1 (gamma, beta) search instead of compiling",
+                 optimize_p1)
+        .text("--checkpoint", "FILE",
+              "save optimizer state after every committed step",
+              checkpoint_path)
+        .setFlag("--resume", "continue from --checkpoint if it exists",
+                 resume);
+    if (const std::optional<int> exit = flags.parse(argc, argv))
+        return *exit;
+    if (graph_path.empty() == workload.empty())
+        return cli::usageError("need exactly one of --graph / --workload");
+    if (optimize_p1 && graph_path.empty())
+        return cli::usageError("--optimize-p1 needs --graph");
 
     try {
         // One guard for everything this invocation runs: a single
@@ -348,37 +188,18 @@ runCompile(int argc, char **argv)
             }
         }
 
-        hw::CouplingMap base_map = hw::deviceByName(device);
-        hw::CalibrationData base_calib =
-            base_map.name() == "ibmq_16_melbourne"
-                ? hw::melbourneCalibration(base_map)
-                : hw::CalibrationData(base_map);
-
-        // With faults, compile against the degraded view: the injector
-        // owns the degraded map and its calibration, and usable() keeps
-        // placement inside the largest surviving component.
-        std::optional<hw::FaultInjector> injector;
-        if (!faults.empty())
-            injector.emplace(base_map, faults, &base_calib);
-        const hw::CouplingMap &map =
-            injector ? injector->map() : base_map;
-        const hw::CalibrationData &calib =
-            injector ? injector->calibration() : base_calib;
+        // With faults, compile against the degraded view, with
+        // placement kept inside the largest surviving component.
+        const hw::DeviceView dev(device, faults);
+        const hw::CouplingMap &map = dev.map();
+        const hw::CalibrationData &calib = dev.calibration();
 
         core::QaoaCompileOptions opts;
         opts.method = core::methodFromName(method);
         if (!preset.empty()) {
-            core::OptimizationLevel level;
-            if (preset == "o0")
-                level = core::OptimizationLevel::O0;
-            else if (preset == "o1")
-                level = core::OptimizationLevel::O1;
-            else if (preset == "o2")
-                level = core::OptimizationLevel::O2;
-            else if (preset == "o3")
-                level = core::OptimizationLevel::O3;
-            else
-                throw std::runtime_error("unknown preset: " + preset);
+            // --preset admits only "o0".."o3", the enumerator order.
+            const auto level =
+                static_cast<core::OptimizationLevel>(preset[1] - '0');
             opts.method = core::presetMethod(level, true);
             peephole = level == core::OptimizationLevel::O3;
         }
@@ -390,31 +211,17 @@ runCompile(int argc, char **argv)
         opts.decompose_to_basis = decompose;
         opts.peephole = peephole;
         opts.allow_fallbacks = fallbacks;
-        if (injector) {
-            opts.allowed_qubits = &injector->usable();
-            opts.device_degraded = !injector->deadQubits().empty() ||
-                                   !injector->disabledEdges().empty();
-        }
+        opts.allowed_qubits = dev.allowedQubits();
+        opts.device_degraded = dev.degraded();
         opts.guard = &guard;
         opts.stage_budget_ms = stage_budget_ms;
 
         if (!workload.empty()) {
-            int usable = map.numQubits();
-            if (injector) {
-                usable = 0;
-                for (char c : injector->usable())
-                    usable += c ? 1 : 0;
-            }
-            int n = std::min(20, usable);
-            n -= n % 2; // k-regular families in k=3..8 need n*k even
-            if (n < 10) {
-                std::cerr << "error: fig11 workload needs >= 10 usable "
-                             "qubits, device has "
-                          << usable << "\n";
-                return 2;
-            }
-            std::vector<graph::Graph> pool =
-                fig11Workload(n, instances, seed);
+            const StatusOr<int> n = tools::fig11Nodes(dev);
+            if (!n.ok())
+                return cli::usageError(n.status().message());
+            const std::vector<graph::Graph> pool =
+                metrics::fig11Pool(n.value(), instances, seed);
             metrics::MetricSeries series =
                 metrics::compileSeries(pool, map, opts);
             int ok = 0, timed_out = 0, other = 0;
@@ -428,7 +235,7 @@ runCompile(int argc, char **argv)
                     ++other;
             }
             std::cout << "workload:     fig11 (" << pool.size()
-                      << " instances, n=" << n << ")\n"
+                      << " instances, n=" << n.value() << ")\n"
                       << "device:       " << map.name() << "\n"
                       << "method:       "
                       << core::methodName(opts.method) << "\n"
@@ -456,9 +263,8 @@ runCompile(int argc, char **argv)
                   << "\n"
                   << "status:       " << transpiler::statusName(r.status)
                   << "\n";
-        if (injector)
-            for (const std::string &note : injector->notes())
-                std::cout << "fault:        " << note << "\n";
+        for (const std::string &note : dev.faultNotes())
+            std::cout << "fault:        " << note << "\n";
         for (const std::string &d : r.diagnostics)
             std::cout << "note:         " << d << "\n";
         printStages(r);
@@ -507,7 +313,7 @@ runCompile(int argc, char **argv)
                               std::to_string(r.report.swap_count));
             artifact.meta.set(
                 "compile_ms",
-                opt::formatHexDouble(r.report.compile_seconds * 1e3));
+                text::formatHexDouble(r.report.compile_seconds * 1e3));
             opt::saveArtifactFile(qbin_path,
                                   circuit::qbin::encodeArtifact(artifact));
             std::cout << "wrote " << qbin_path << "\n";

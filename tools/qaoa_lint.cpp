@@ -1,21 +1,7 @@
 /**
  * @file
- * qaoa_lint — static circuit-quality analyzer front end.
- *
- * Usage:
- *   qaoa_lint (--graph FILE | --workload fig11)
- *             [--method naive|greedyv|qaim|ip|ic|vic|all]
- *             [--device tokyo|melbourne|poughkeepsie|heavyhex|
- *              grid6x6|linearN|ringN]
- *             [--calib default|melbourne|random] [--calib-seed S]
- *             [--instances N] [--gamma G] [--beta B] [--levels P]
- *             [--packing N] [--seed S]
- *             [--format text|csv|json]
- *             [--budget FILE] [--fail-on info|warning|error]
- *             [--check-ordering] [--crosstalk-pairs LIST]
- *             [--fault-edge-rate R] [--fault-qubit-rate R]
- *             [--fault-seed S] [--dead-qubits a,b,c]
- *             [--disable-edges a-b,c-d]
+ * qaoa_lint — static circuit-quality analyzer front end (run with
+ * --help for the flags).
  *
  * Compiles the problem (or the built-in Fig. 11 workload pool) with the
  * selected method(s) and runs the analysis/ passes over each physical
@@ -30,152 +16,55 @@
  * budget/ordering), 2 usage error, 3 compile failure.
  */
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/quality.hpp"
 #include "common/error.hpp"
+#include "common/flags.hpp"
+#include "common/kv.hpp"
 #include "common/table.hpp"
+#include "common/text.hpp"
 #include "graph/io.hpp"
 #include "hardware/devices.hpp"
-#include "hardware/faults.hpp"
 #include "metrics/harness.hpp"
 #include "qaoa/api.hpp"
+#include "tool_support.hpp"
 
 namespace {
 
 using namespace qaoa;
 
-void
-usage()
-{
-    std::cerr
-        << "usage: qaoa_lint (--graph FILE | --workload fig11) [options]\n"
-           "  --method M    naive|greedyv|qaim|ip|ic|vic|all (default "
-           "all)\n"
-           "  --device D    tokyo|melbourne|poughkeepsie|heavyhex|"
-           "grid6x6|linearN|ringN (default tokyo)\n"
-           "  --calib C     default|melbourne|random (default default)\n"
-           "  --calib-seed S  seed of the random calibration (default "
-           "2020)\n"
-           "  --instances N   instances per workload class (default 3)\n"
-           "  --gamma G     cost angle per level (default 0.7)\n"
-           "  --beta B      mixer angle per level (default 0.35)\n"
-           "  --levels P    QAOA levels (default 1)\n"
-           "  --packing N   max CPHASEs per layer (default unlimited)\n"
-           "  --seed S      master seed (default 7)\n"
-           "  --format F    text|csv|json (default text)\n"
-           "  --budget FILE JSON bars (tests/budgets/*.json); misses are "
-           "QL115 errors\n"
-           "  --fail-on S   info|warning|error (default warning)\n"
-           "  --check-ordering  enforce ESP geomean VIC >= IC >= IP >= "
-           "NAIVE\n"
-           "  --crosstalk-pairs LIST  e.g. 0-1x2-3,5-6x7-8 (QL111)\n"
-           "fault injection (hardware/faults.hpp):\n"
-           "  --fault-edge-rate R / --fault-qubit-rate R / --fault-seed "
-           "S\n"
-           "  --dead-qubits LIST / --disable-edges LIST\n";
-}
-
 analysis::Severity
-parseSeverity(const std::string &name)
+severityFromName(const std::string &name)
 {
     if (name == "info")
         return analysis::Severity::Info;
-    if (name == "warning")
-        return analysis::Severity::Warning;
-    if (name == "error")
-        return analysis::Severity::Error;
-    throw std::runtime_error("unknown severity: " + name);
-}
-
-std::vector<int>
-parseQubitList(const std::string &text)
-{
-    std::vector<int> qubits;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            qubits.push_back(std::stoi(item));
-    if (qubits.empty())
-        throw std::runtime_error("empty qubit list: " + text);
-    return qubits;
-}
-
-analysis::Coupling
-parseCoupling(const std::string &item)
-{
-    std::size_t dash = item.find('-');
-    if (dash == std::string::npos || dash == 0 || dash + 1 >= item.size())
-        throw std::runtime_error("bad edge (want a-b): " + item);
-    return {std::stoi(item.substr(0, dash)),
-            std::stoi(item.substr(dash + 1))};
-}
-
-std::vector<std::pair<int, int>>
-parseEdgeList(const std::string &text)
-{
-    std::vector<std::pair<int, int>> edges;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            edges.push_back(parseCoupling(item));
-    if (edges.empty())
-        throw std::runtime_error("empty edge list: " + text);
-    return edges;
+    return name == "warning" ? analysis::Severity::Warning
+                             : analysis::Severity::Error;
 }
 
 /** Parses "0-1x2-3,5-6x7-8" into crosstalk coupling pairs. */
-std::vector<analysis::CrosstalkPair>
-parseCrosstalkPairs(const std::string &text)
+StatusOr<std::vector<analysis::CrosstalkPair>>
+parseCrosstalkPairs(const std::string &value)
 {
     std::vector<analysis::CrosstalkPair> pairs;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            continue;
-        std::size_t x = item.find('x');
-        if (x == std::string::npos || x == 0 || x + 1 >= item.size())
-            throw std::runtime_error(
-                "bad crosstalk pair (want a-bxc-d): " + item);
-        pairs.push_back({parseCoupling(item.substr(0, x)),
-                         parseCoupling(item.substr(x + 1))});
+    for (const std::string &item : text::split(value, ',')) {
+        const std::vector<std::string> halves = text::split(item, 'x');
+        const StatusOr<std::pair<int, int>> a =
+            text::parsePair(halves.empty() ? "" : halves[0]);
+        const StatusOr<std::pair<int, int>> b =
+            text::parsePair(halves.size() == 2 ? halves[1] : "");
+        if (!a.ok() || !b.ok())
+            return Status(ErrorCode::InvalidArgument,
+                          "\"" + item + "\" is not a pair a-bxc-d");
+        pairs.push_back({a.value(), b.value()});
     }
-    if (pairs.empty())
-        throw std::runtime_error("empty crosstalk pair list: " + text);
     return pairs;
-}
-
-/** The Fig. 11 instance pool: @p n node ER p in {.1...6} and k-regular
- *  k in {3..8}, @p count instances each.  The paper uses n = 20; smaller
- *  (or degraded) devices scale n down, keeping it even so every
- *  k-regular family exists. */
-std::vector<graph::Graph>
-fig11Workload(int n, int count, std::uint64_t seed)
-{
-    std::vector<graph::Graph> pool;
-    for (int i = 0; i < 6; ++i) {
-        double p = 0.1 + 0.1 * i;
-        for (auto &g : metrics::erdosRenyiInstances(
-                 n, p, count, seed + static_cast<std::uint64_t>(i)))
-            pool.push_back(std::move(g));
-    }
-    for (int k = 3; k <= 8; ++k) {
-        for (auto &g : metrics::regularInstances(
-                 n, k, count, seed + 100 + static_cast<std::uint64_t>(k)))
-            pool.push_back(std::move(g));
-    }
-    return pool;
 }
 
 /** Aggregated lint outcome of one method over the instance pool. */
@@ -204,27 +93,6 @@ geomean(const std::vector<double> &xs)
     return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
-std::string
-fmt(double v, int precision = 4)
-{
-    std::ostringstream os;
-    os.precision(precision);
-    os << std::fixed << v;
-    return os.str();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 int
 runLint(int argc, char **argv)
 {
@@ -233,134 +101,77 @@ runLint(int argc, char **argv)
     double gamma = 0.7, beta = 0.35;
     int levels = 1, packing = 1 << 30, instances = 3;
     std::uint64_t seed = 7, calib_seed = 2020;
-    analysis::Severity fail_on = analysis::Severity::Warning;
+    std::string fail_on = "warning";
     bool check_ordering = false;
     std::vector<analysis::CrosstalkPair> crosstalk_pairs;
     hw::FaultSpec faults;
 
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(flag) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        try {
-            if (!std::strcmp(argv[i], "--graph"))
-                graph_path = next("--graph");
-            else if (!std::strcmp(argv[i], "--workload"))
-                workload = next("--workload");
-            else if (!std::strcmp(argv[i], "--method"))
-                method = next("--method");
-            else if (!std::strcmp(argv[i], "--device"))
-                device = next("--device");
-            else if (!std::strcmp(argv[i], "--calib"))
-                calib_kind = next("--calib");
-            else if (!std::strcmp(argv[i], "--calib-seed"))
-                calib_seed = std::stoull(next("--calib-seed"));
-            else if (!std::strcmp(argv[i], "--instances"))
-                instances = std::stoi(next("--instances"));
-            else if (!std::strcmp(argv[i], "--gamma"))
-                gamma = std::stod(next("--gamma"));
-            else if (!std::strcmp(argv[i], "--beta"))
-                beta = std::stod(next("--beta"));
-            else if (!std::strcmp(argv[i], "--levels"))
-                levels = std::stoi(next("--levels"));
-            else if (!std::strcmp(argv[i], "--packing"))
-                packing = std::stoi(next("--packing"));
-            else if (!std::strcmp(argv[i], "--seed"))
-                seed = std::stoull(next("--seed"));
-            else if (!std::strcmp(argv[i], "--format"))
-                format = next("--format");
-            else if (!std::strcmp(argv[i], "--budget"))
-                budget_path = next("--budget");
-            else if (!std::strcmp(argv[i], "--fail-on"))
-                fail_on = parseSeverity(next("--fail-on"));
-            else if (!std::strcmp(argv[i], "--check-ordering"))
-                check_ordering = true;
-            else if (!std::strcmp(argv[i], "--crosstalk-pairs"))
-                crosstalk_pairs =
-                    parseCrosstalkPairs(next("--crosstalk-pairs"));
-            else if (!std::strcmp(argv[i], "--fault-edge-rate"))
-                faults.edge_fault_rate =
-                    std::stod(next("--fault-edge-rate"));
-            else if (!std::strcmp(argv[i], "--fault-qubit-rate"))
-                faults.qubit_fault_rate =
-                    std::stod(next("--fault-qubit-rate"));
-            else if (!std::strcmp(argv[i], "--fault-seed"))
-                faults.seed = std::stoull(next("--fault-seed"));
-            else if (!std::strcmp(argv[i], "--dead-qubits"))
-                faults.dead_qubits = parseQubitList(next("--dead-qubits"));
-            else if (!std::strcmp(argv[i], "--disable-edges"))
-                faults.disabled_edges =
-                    parseEdgeList(next("--disable-edges"));
-            else if (!std::strcmp(argv[i], "--help")) {
-                usage();
-                return 0;
-            } else {
-                std::cerr << "unknown flag: " << argv[i] << "\n";
-                usage();
-                return 2;
-            }
-        } catch (const std::exception &e) {
-            std::cerr << "error: " << e.what() << "\n";
-            return 2;
-        }
-    }
-    if (graph_path.empty() == workload.empty()) {
-        std::cerr << "error: need exactly one of --graph / --workload\n";
-        usage();
-        return 2;
-    }
-    if (format != "text" && format != "csv" && format != "json") {
-        std::cerr << "error: unknown format: " << format << "\n";
-        return 2;
-    }
+    cli::FlagTable flags(
+        "usage: qaoa_lint (--graph FILE | --workload fig11) [options]");
+    flags.text("--graph", "FILE", "MaxCut problem graph (edge list)",
+               graph_path)
+        .choice("--workload", "lint the scaled Fig. 11 pool", workload,
+                {"fig11"})
+        .text("--method", "M",
+              "naive|greedyv|qaim|ip|ic|vic|all (default all)", method)
+        .text("--device", "D",
+              "tokyo|melbourne|poughkeepsie|heavyhex|grid6x6|linearN|ringN "
+              "(default tokyo)",
+              device)
+        .choice("--calib", "calibration (default default)", calib_kind,
+                {"default", "melbourne", "random"})
+        .uint64("--calib-seed", "S",
+                "seed of the random calibration (default 2020)", calib_seed)
+        .integer("--instances", "N",
+                 "instances per workload class (default 3)", instances, 1)
+        .real("--gamma", "G", "cost angle per level (default 0.7)", gamma)
+        .real("--beta", "B", "mixer angle per level (default 0.35)", beta)
+        .integer("--levels", "P", "QAOA levels (default 1)", levels, 1)
+        .integer("--packing", "N",
+                 "max CPHASEs per layer (default unlimited)", packing)
+        .uint64("--seed", "S", "master seed (default 7)", seed)
+        .choice("--format", "output format (default text)", format,
+                {"text", "csv", "json"})
+        .text("--budget", "FILE",
+              "JSON bars (tests/budgets/*.json); misses are QL115 errors",
+              budget_path)
+        .choice("--fail-on", "failing severity (default warning)", fail_on,
+                {"info", "warning", "error"})
+        .setFlag("--check-ordering",
+                 "enforce ESP geomean VIC >= IC >= IP >= NAIVE",
+                 check_ordering)
+        .add("--crosstalk-pairs", "LIST", "e.g. 0-1x2-3,5-6x7-8 (QL111)",
+             tools::listSetter(crosstalk_pairs, parseCrosstalkPairs));
+    tools::addFaultFlags(flags, faults);
+    if (const std::optional<int> exit = flags.parse(argc, argv))
+        return *exit;
+    if (graph_path.empty() == workload.empty())
+        return cli::usageError("need exactly one of --graph / --workload");
 
     try {
         // Device + calibration (possibly degraded by fault injection).
-        hw::CouplingMap base_map = hw::deviceByName(device);
-        hw::CalibrationData base_calib(base_map);
-        if (calib_kind == "melbourne") {
-            base_calib = hw::melbourneCalibration(base_map);
-        } else if (calib_kind == "random") {
-            Rng calib_rng(calib_seed);
-            base_calib = hw::randomCalibration(base_map, calib_rng);
-        } else if (calib_kind != "default") {
-            std::cerr << "error: unknown calibration: " << calib_kind
-                      << "\n";
-            return 2;
-        }
-        std::optional<hw::FaultInjector> injector;
-        if (!faults.empty())
-            injector.emplace(base_map, faults, &base_calib);
-        const hw::CouplingMap &map = injector ? injector->map() : base_map;
-        const hw::CalibrationData &calib =
-            injector ? injector->calibration() : base_calib;
+        const hw::DeviceView dev(
+            device, faults, [&](const hw::CouplingMap &base) {
+                if (calib_kind == "melbourne")
+                    return hw::melbourneCalibration(base);
+                if (calib_kind == "random") {
+                    Rng calib_rng(calib_seed);
+                    return hw::randomCalibration(base, calib_rng);
+                }
+                return hw::CalibrationData(base);
+            });
+        const hw::CouplingMap &map = dev.map();
+        const hw::CalibrationData &calib = dev.calibration();
 
         // Problem pool (the workload scales to the usable device size).
         std::vector<graph::Graph> pool;
         if (!graph_path.empty()) {
             pool.push_back(graph::loadGraphFile(graph_path));
-        } else if (workload == "fig11") {
-            int usable = map.numQubits();
-            if (injector) {
-                usable = 0;
-                for (char c : injector->usable())
-                    usable += c ? 1 : 0;
-            }
-            int n = std::min(20, usable);
-            n -= n % 2; // every k-regular family in k=3..8 needs n*k even
-            if (n < 10) {
-                std::cerr << "error: fig11 workload needs >= 10 usable "
-                             "qubits, device has "
-                          << usable << "\n";
-                return 2;
-            }
-            pool = fig11Workload(n, instances, calib_seed);
         } else {
-            std::cerr << "error: unknown workload: " << workload << "\n";
-            return 2;
+            const StatusOr<int> n = tools::fig11Nodes(dev);
+            if (!n.ok())
+                return cli::usageError(n.status().message());
+            pool = metrics::fig11Pool(n.value(), instances, calib_seed);
         }
 
         std::optional<analysis::QualityBudget> budget;
@@ -392,12 +203,8 @@ runLint(int argc, char **argv)
                 opts.calibration = &calib;
                 opts.decompose_to_basis = false; // lint the physical IR
                 opts.crosstalk_pairs = crosstalk_pairs;
-                if (injector) {
-                    opts.allowed_qubits = &injector->usable();
-                    opts.device_degraded =
-                        !injector->deadQubits().empty() ||
-                        !injector->disabledEdges().empty();
-                }
+                opts.allowed_qubits = dev.allowedQubits();
+                opts.device_degraded = dev.degraded();
                 transpiler::CompileResult r =
                     core::compileQaoaMaxcut(pool[pi], map, opts);
                 if (!r.ok()) {
@@ -439,16 +246,18 @@ runLint(int argc, char **argv)
             for (std::size_t i = 0; i < rows.size(); ++i) {
                 const MethodRow &r = rows[i];
                 std::cout
-                    << "  {\"method\": \"" << jsonEscape(r.method)
-                    << "\", \"device\": \"" << jsonEscape(map.name())
+                    << "  {\"method\": \"" << kv::escape(r.method)
+                    << "\", \"device\": \"" << kv::escape(map.name())
                     << "\", \"instances\": " << r.instances
-                    << ", \"depth\": " << fmt(r.depth, 2)
-                    << ", \"gates\": " << fmt(r.gates, 2)
-                    << ", \"two_qubit\": " << fmt(r.two_q, 2)
-                    << ", \"swaps\": " << fmt(r.swaps, 2)
-                    << ", \"execution_ns\": " << fmt(r.exec_ns, 1)
-                    << ", \"esp\": " << fmt(r.esp, 6)
-                    << ", \"coherence\": " << fmt(r.coherence, 6)
+                    << ", \"depth\": " << Table::num(r.depth, 2)
+                    << ", \"gates\": " << Table::num(r.gates, 2)
+                    << ", \"two_qubit\": " << Table::num(r.two_q, 2)
+                    << ", \"swaps\": " << Table::num(r.swaps, 2)
+                    << ", \"execution_ns\": "
+                    << Table::num(r.exec_ns, 1)
+                    << ", \"esp\": " << Table::num(r.esp, 6)
+                    << ", \"coherence\": "
+                    << Table::num(r.coherence, 6)
                     << ", \"errors\": "
                     << r.findings.countSeverity(analysis::Severity::Error)
                     << ", \"warnings\": "
@@ -465,10 +274,10 @@ runLint(int argc, char **argv)
                      "warnings", "infos"});
             for (const MethodRow &r : rows)
                 t.addRow({r.method, std::to_string(r.instances),
-                          fmt(r.depth, 2), fmt(r.gates, 2),
-                          fmt(r.two_q, 2), fmt(r.swaps, 2),
-                          fmt(r.exec_ns, 1), fmt(r.esp, 6),
-                          fmt(r.coherence, 6),
+                          Table::num(r.depth, 2), Table::num(r.gates, 2),
+                          Table::num(r.two_q, 2), Table::num(r.swaps, 2),
+                          Table::num(r.exec_ns, 1), Table::num(r.esp, 6),
+                          Table::num(r.coherence, 6),
                           std::to_string(r.findings.countSeverity(
                               analysis::Severity::Error)),
                           std::to_string(r.findings.countSeverity(
@@ -481,9 +290,9 @@ runLint(int argc, char **argv)
                 t.print(std::cout);
         }
         for (const MethodRow &r : rows) {
-            if (!r.findings.clean(fail_on))
-                dirty = true;
-            if (format == "text" && !r.findings.clean(fail_on)) {
+            const bool clean = r.findings.clean(severityFromName(fail_on));
+            dirty = dirty || !clean;
+            if (format == "text" && !clean) {
                 std::cout << "\n" << r.method << " findings:\n";
                 r.findings.print(std::cout, false);
             } else if (format == "text") {
@@ -508,10 +317,11 @@ runLint(int argc, char **argv)
                 esp_by_method["VIC"] + tol >= esp_by_method["IC"] &&
                 esp_by_method["IC"] + tol >= esp_by_method["IP"] &&
                 esp_by_method["IP"] + tol >= esp_by_method["NAIVE"];
-            std::cout << "esp ordering: VIC " << fmt(esp_by_method["VIC"], 6)
-                      << " >= IC " << fmt(esp_by_method["IC"], 6)
-                      << " >= IP " << fmt(esp_by_method["IP"], 6)
-                      << " >= NAIVE " << fmt(esp_by_method["NAIVE"], 6)
+            std::cout << "esp ordering: VIC "
+                      << Table::num(esp_by_method["VIC"], 6) << " >= IC "
+                      << Table::num(esp_by_method["IC"], 6) << " >= IP "
+                      << Table::num(esp_by_method["IP"], 6) << " >= NAIVE "
+                      << Table::num(esp_by_method["NAIVE"], 6)
                       << (ordered ? " : ok" : " : VIOLATED") << "\n";
             if (!ordered)
                 dirty = true;

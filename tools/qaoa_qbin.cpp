@@ -1,12 +1,7 @@
 /**
  * @file
- * qaoa_qbin — round-trip tool for the qbin binary circuit format.
- *
- * Usage:
- *   qaoa_qbin encode IN.qasm OUT.qbin [--max-qubits N]
- *   qaoa_qbin decode IN.qbin OUT.qasm
- *   qaoa_qbin inspect IN.qbin
- *   qaoa_qbin roundtrip IN.qasm [--max-qubits N]
+ * qaoa_qbin — round-trip tool for the qbin binary circuit format (run
+ * with --help for the commands).
  *
  * encode parses OpenQASM 2.0 (the toQasm() dialect) and writes a qbin
  * circuit document; decode accepts either a circuit document or an
@@ -23,7 +18,7 @@
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,34 +26,20 @@
 #include "circuit/qasm_parser.hpp"
 #include "circuit/qbin.hpp"
 #include "common/error.hpp"
+#include "common/flags.hpp"
+#include "common/fs.hpp"
 
 namespace {
 
 using namespace qaoa;
 
-void
-usage()
-{
-    std::cerr
-        << "usage: qaoa_qbin COMMAND ...\n"
-           "  encode IN.qasm OUT.qbin [--max-qubits N]   QASM -> qbin\n"
-           "  decode IN.qbin OUT.qasm                    qbin -> QASM "
-           "(circuit or artifact)\n"
-           "  inspect IN.qbin                            header, sizes, "
-           "ops, metadata\n"
-           "  roundtrip IN.qasm [--max-qubits N]         verify encode/"
-           "decode is bit-exact\n";
-}
-
 std::string
 readWholeFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good())
+    std::string bytes;
+    if (!fs::readFile(path, bytes))
         throw std::runtime_error("cannot read " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
+    return bytes;
 }
 
 void
@@ -97,31 +78,32 @@ printCircuitSummary(const circuit::Circuit &c, std::size_t doc_bytes)
 int
 run(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage();
-        return 2;
-    }
-    const std::string command = argv[1];
-    std::vector<std::string> paths;
+    std::vector<std::string> args;
     circuit::QasmParseOptions parse_options;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--max-qubits") {
-            if (i + 1 >= argc) {
-                std::cerr << "--max-qubits needs a value\n";
-                return 2;
-            }
-            parse_options.max_qubits = std::stoi(argv[++i]);
-        } else {
-            paths.push_back(arg);
-        }
-    }
+    cli::FlagTable flags(
+        "usage: qaoa_qbin COMMAND ...\n"
+        "  encode IN.qasm OUT.qbin    QASM -> qbin\n"
+        "  decode IN.qbin OUT.qasm    qbin -> QASM (circuit or artifact)\n"
+        "  inspect IN.qbin            header, sizes, ops, metadata\n"
+        "  roundtrip IN.qasm          verify encode/decode is bit-exact\n"
+        "options:");
+    flags.integer("--max-qubits", "N",
+                  "largest QASM register for encode/roundtrip (default 30)",
+                  parse_options.max_qubits);
+    if (const std::optional<int> exit = flags.parse(argc, argv, &args))
+        return *exit;
+    const auto usage = [&] {
+        flags.printHelp(std::cerr);
+        return cli::kExitUsage;
+    };
+    if (args.empty())
+        return usage();
+    const std::string command = args[0];
+    const std::vector<std::string> paths(args.begin() + 1, args.end());
 
     if (command == "encode") {
-        if (paths.size() != 2) {
-            usage();
-            return 2;
-        }
+        if (paths.size() != 2)
+            return usage();
         const circuit::Circuit parsed =
             circuit::parseQasm(readWholeFile(paths[0]), parse_options);
         const std::string doc = circuit::qbin::encodeCircuit(parsed);
@@ -132,10 +114,8 @@ run(int argc, char **argv)
     }
 
     if (command == "decode") {
-        if (paths.size() != 2) {
-            usage();
-            return 2;
-        }
+        if (paths.size() != 2)
+            return usage();
         const circuit::Circuit decoded = circuit::qbin::decodeCircuit(
             circuitDocOf(readWholeFile(paths[0])));
         writeWholeFile(paths[1], circuit::toQasm(decoded));
@@ -145,10 +125,8 @@ run(int argc, char **argv)
     }
 
     if (command == "inspect") {
-        if (paths.size() != 1) {
-            usage();
-            return 2;
-        }
+        if (paths.size() != 1)
+            return usage();
         const std::string bytes = readWholeFile(paths[0]);
         if (!circuit::qbin::looksLikeQbin(bytes))
             throw std::runtime_error(paths[0] + ": not a qbin document");
@@ -175,10 +153,8 @@ run(int argc, char **argv)
     }
 
     if (command == "roundtrip") {
-        if (paths.size() != 1) {
-            usage();
-            return 2;
-        }
+        if (paths.size() != 1)
+            return usage();
         const std::string qasm = readWholeFile(paths[0]);
         const circuit::Circuit parsed =
             circuit::parseQasm(qasm, parse_options);
@@ -196,8 +172,7 @@ run(int argc, char **argv)
         return 0;
     }
 
-    usage();
-    return 2;
+    return usage();
 }
 
 } // namespace

@@ -35,16 +35,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <csignal>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
-#include "common/sync.hpp"
+#include "common/flags.hpp"
 #include "common/kv.hpp"
-#include "opt/checkpoint.hpp"
+#include "common/sync.hpp"
+#include "common/text.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -59,27 +60,6 @@ extern "C" void
 handleDrainSignal(int sig)
 {
     g_drain_signal = sig;
-}
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [options]\n"
-        "  --workers N                compile worker threads (default 2)\n"
-        "  --queue-capacity N         backlog bound before shedding (default 64)\n"
-        "  --cache-dir PATH           persist the compile cache here\n"
-        "  --cache-entries N          cache entry cap (default 256)\n"
-        "  --cache-bytes N            cache byte cap (default 64 MiB)\n"
-        "  --cache-policy lru|fifo    eviction policy (default lru)\n"
-        "  --max-nodes N              largest admissible problem (default 64)\n"
-        "  --stage-budget-ms X        default per-stage watchdog budget\n"
-        "  --scrub-interval-ms X      periodic cache scrub cadence (default off)\n"
-        "  --no-scrub-on-start        skip the startup cache scrub\n"
-        "  --failpoints SPEC          arm failpoints (also: QAOA_FAILPOINTS)\n"
-        "  --help\n",
-        argv0);
 }
 
 /** Serializes ServerStats into a "stats" response payload. */
@@ -103,7 +83,7 @@ statsPayload(const serve::ServerStats &stats,
     rec.set("queue_admitted", std::to_string(stats.queue.admitted));
     rec.set("queue_shed", std::to_string(stats.queue.shed));
     rec.set("ema_service_ms",
-            opt::formatHexDouble(stats.queue.ema_service_ms));
+            text::formatHexDouble(stats.queue.ema_service_ms));
     rec.set("cache_entries", std::to_string(stats.cache.entries));
     rec.set("cache_bytes", std::to_string(stats.cache.bytes));
     rec.set("cache_lookup_hits", std::to_string(stats.cache.hits));
@@ -125,7 +105,7 @@ statsPayload(const serve::ServerStats &stats,
     rec.set("cache_scrub_dropped",
             std::to_string(stats.cache.scrub_dropped));
     rec.set("cache_hit_rate",
-            opt::formatHexDouble(stats.cache.hitRate()));
+            text::formatHexDouble(stats.cache.hitRate()));
     rec.set("cache_policy", policy);
     return kv::serialize(rec);
 }
@@ -149,7 +129,7 @@ healthPayload(const serve::ServerStats &stats, const std::string &id)
     rec.set("cache_entries", std::to_string(stats.cache.entries));
     rec.set("cache_bytes", std::to_string(stats.cache.bytes));
     rec.set("cache_hit_rate",
-            opt::formatHexDouble(stats.cache.hitRate()));
+            text::formatHexDouble(stats.cache.hitRate()));
     rec.set("cache_quarantined",
             std::to_string(stats.cache.quarantined));
     rec.set("cache_read_errors",
@@ -175,47 +155,33 @@ runDaemon(int argc, char **argv)
 {
     serve::ServerConfig config;
     std::string failpoint_spec;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        try {
-            if (arg == "--help") {
-                usage(argv[0]);
-                return 0;
-            }
-            if (arg == "--workers" && has_value)
-                config.workers = std::stoi(argv[++i]);
-            else if (arg == "--queue-capacity" && has_value)
-                config.queue_capacity =
-                    static_cast<std::size_t>(std::stoul(argv[++i]));
-            else if (arg == "--cache-dir" && has_value)
-                config.cache_dir = argv[++i];
-            else if (arg == "--cache-entries" && has_value)
-                config.cache_limits.max_entries =
-                    static_cast<std::size_t>(std::stoul(argv[++i]));
-            else if (arg == "--cache-bytes" && has_value)
-                config.cache_limits.max_bytes = std::stoull(argv[++i]);
-            else if (arg == "--cache-policy" && has_value)
-                config.cache_policy = argv[++i];
-            else if (arg == "--max-nodes" && has_value)
-                config.max_nodes = std::stoi(argv[++i]);
-            else if (arg == "--stage-budget-ms" && has_value)
-                config.default_stage_budget_ms = std::stod(argv[++i]);
-            else if (arg == "--scrub-interval-ms" && has_value)
-                config.scrub_interval_ms = std::stod(argv[++i]);
-            else if (arg == "--no-scrub-on-start")
-                config.scrub_on_start = false;
-            else if (arg == "--failpoints" && has_value)
-                failpoint_spec = argv[++i];
-            else {
-                usage(argv[0]);
-                return 2;
-            }
-        } catch (const std::exception &) {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    cli::FlagTable flags("usage: qaoa_serve [options]");
+    flags.integer("--workers", "N", "compile worker threads (default 2)",
+                  config.workers, 1)
+        .count("--queue-capacity", "N",
+               "backlog bound before shedding (default 64)",
+               config.queue_capacity)
+        .text("--cache-dir", "PATH", "persist the compile cache here",
+              config.cache_dir)
+        .count("--cache-entries", "N", "cache entry cap (default 256)",
+               config.cache_limits.max_entries, 1)
+        .uint64("--cache-bytes", "N", "cache byte cap (default 64 MiB)",
+                config.cache_limits.max_bytes)
+        .choice("--cache-policy", "eviction policy (default lru)",
+                config.cache_policy, {"lru", "fifo"})
+        .integer("--max-nodes", "N",
+                 "largest admissible problem (default 64)", config.max_nodes)
+        .real("--stage-budget-ms", "X", "default per-stage watchdog budget",
+              config.default_stage_budget_ms)
+        .real("--scrub-interval-ms", "X",
+              "periodic cache scrub cadence (default off)",
+              config.scrub_interval_ms)
+        .setFlag("--no-scrub-on-start", "skip the startup cache scrub",
+                 config.scrub_on_start, false)
+        .text("--failpoints", "SPEC",
+              "arm failpoints (also: QAOA_FAILPOINTS)", failpoint_spec);
+    if (const std::optional<int> exit = flags.parse(argc, argv))
+        return *exit;
 
     // Fault injection arms before anything touches the disk, so even
     // the cache reload at start() runs under the schedule.
@@ -226,11 +192,8 @@ runDaemon(int argc, char **argv)
     }
     if (!failpoint_spec.empty()) {
         if (Status armed = failpoint::armFromSpec(failpoint_spec);
-            !armed.ok()) {
-            std::fprintf(stderr, "qaoa_serve: %s\n",
-                         armed.toString().c_str());
-            return 2;
-        }
+            !armed.ok())
+            return cli::usageError("--failpoints: " + armed.message());
     }
     if (failpoint::anyArmed())
         for (const std::string &line : failpoint::armedList())
