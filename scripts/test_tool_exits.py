@@ -15,6 +15,7 @@ Usage: test_tool_exits.py QAOA_QBIN QAOA_COMPILE QAOA_LINT QAOA_SERVE
 (ctest passes the built binary paths; see tests/CMakeLists.txt).
 """
 
+import hashlib
 import json
 import os
 import struct
@@ -181,6 +182,43 @@ class TestFlagValueErrors(ToolExitTestCase):
                 proc = run(binary, "--help")
                 self.assertExit(proc, 0)
                 self.assertIn("usage:", proc.stdout)
+
+
+class TestLintOutputPins(ToolExitTestCase):
+    """qaoa_lint's rendered findings are byte-stable: the Fig. 11 pool
+    on tokyo with the random calibration, failing at the info bar, in
+    every output format.  The crosstalk run renders QL111 warnings next
+    to the QL108-QL110/QL114 infos.  A change to a rule, its severity or
+    the finding text moves one of these digests."""
+
+    BASE = ("--workload", "fig11", "--device", "tokyo", "--calib",
+            "random", "--instances", "1", "--fail-on", "info")
+    PINS = {
+        ("--format", "text"):
+            "bdb6d992149d6c68ed246ca83bbbc46e"
+            "15c63b565e11619dd1fa8e4ad588110a",
+        ("--format", "csv"):
+            "f0c09c6dd84b1408c3fe4c5870eaa7df"
+            "05596175d7d06f94537cbb0f7e738a6e",
+        ("--format", "json"):
+            "a6965156bdf3a4982238fef53f672576"
+            "95683bcc2c2cfe3bbd9e65b168b1adb4",
+        ("--format", "text", "--crosstalk-pairs",
+         "0-1x2-3,5-6x7-8,1-6x2-7"):
+            "69046adfd069a9551261ee1d89f8b09b"
+            "63d12bb657b57d8def2047a09f5ba4ae",
+    }
+
+    def test_fig11_lint_output_is_pinned(self):
+        for extra, digest in self.PINS.items():
+            with self.subTest(args=" ".join(extra)):
+                proc = subprocess.run(
+                    [LINT, *self.BASE, *extra], stdin=subprocess.DEVNULL,
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    timeout=120)
+                self.assertExit(proc, 1)
+                self.assertEqual(hashlib.sha256(proc.stdout).hexdigest(),
+                                 digest)
 
 
 class TestServeWireNumbers(ToolExitTestCase):
