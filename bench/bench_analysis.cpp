@@ -65,7 +65,7 @@ main(int argc, char **argv)
             const std::chrono::duration<double> dt = Clock::now() - start;
             analyze_s += dt.count() / repeats;
             gates += q.summary.gate_count;
-            findings += static_cast<double>(q.lint.findings().size());
+            findings += static_cast<double>(q.lint.diagnostics().size());
         }
         const double n = static_cast<double>(instances.size());
         t.addRow({core::methodName(m), std::to_string(instances.size()),

@@ -171,10 +171,10 @@ loadBudgetFile(const std::string &path)
     return budget;
 }
 
-LintReport
+diag::Report
 checkBudget(const QualitySummary &summary, const QualityBudget &budget)
 {
-    LintReport report;
+    diag::Report report;
     const std::string label =
         budget.name.empty() ? std::string("budget") : budget.name;
     auto bar = [&](double value, double limit, bool is_max,
@@ -183,7 +183,7 @@ checkBudget(const QualitySummary &summary, const QualityBudget &budget)
             return;
         const bool violated = is_max ? value > limit : value < limit;
         if (violated)
-            report.add(Rule::BudgetViolation,
+            report.add(diag::Rule::BudgetViolation,
                        label + ": " + metric + " " + fmt(value) + " " +
                            (is_max ? "exceeds" : "below") + " bar " +
                            fmt(limit));

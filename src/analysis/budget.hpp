@@ -15,7 +15,7 @@
 
 #include <string>
 
-#include "analysis/diagnostics.hpp"
+#include "common/diagnostics.hpp"
 
 namespace qaoa::analysis {
 
@@ -65,8 +65,8 @@ QualityBudget loadBudgetFile(const std::string &path);
  *
  * @return Report holding only BudgetViolation findings (empty = pass).
  */
-LintReport checkBudget(const QualitySummary &summary,
-                       const QualityBudget &budget);
+diag::Report checkBudget(const QualitySummary &summary,
+                         const QualityBudget &budget);
 
 } // namespace qaoa::analysis
 

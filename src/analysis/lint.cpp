@@ -13,6 +13,7 @@ namespace qaoa::analysis {
 namespace {
 
 using circuit::Gate;
+using diag::Rule;
 using circuit::GateType;
 
 Coupling
@@ -93,7 +94,7 @@ cnotCount(GateType t)
 /** Peephole rules QL101-QL107: mergeable/cancelling/removable gates. */
 void
 lintPeepholes(const CircuitDag &dag, const LintOptions &options,
-              LintReport &report)
+              diag::Report &report)
 {
     const auto &gates = dag.circuit().gates();
     for (std::size_t gi = 0; gi < gates.size(); ++gi) {
@@ -184,7 +185,7 @@ lintPeepholes(const CircuitDag &dag, const LintOptions &options,
 /** QL108: 2q gate on an edge with a strictly more reliable detour. */
 void
 lintUnreliableEdges(const CircuitDag &dag, const LintOptions &options,
-                    LintReport &report)
+                    diag::Report &report)
 {
     if (options.map == nullptr || options.calibration == nullptr)
         return;
@@ -226,14 +227,8 @@ lintUnreliableEdges(const CircuitDag &dag, const LintOptions &options,
 /** QL109/QL110: idle windows and active windows against the T2 budget. */
 void
 lintTiming(const CircuitDag &dag, const LintOptions &options,
-           LintReport &report)
+           const TimingAnalysis &timing, diag::Report &report)
 {
-    TimingOptions topts;
-    topts.durations = options.durations;
-    topts.t2_ns = options.t2_ns;
-    topts.calibration = options.calibration;
-    const TimingAnalysis timing = analyzeTiming(dag.circuit(), topts);
-
     auto t2_of = [&](int q) {
         return options.calibration != nullptr &&
                        q < options.calibration->numQubits()
@@ -267,7 +262,7 @@ lintTiming(const CircuitDag &dag, const LintOptions &options,
 /** QL112/QL113/QL114: shape metrics (hotspots, occupancy, swaps). */
 void
 lintShape(const CircuitDag &dag, const LintOptions &options,
-          LintReport &report)
+          diag::Report &report)
 {
     const circuit::Circuit &c = dag.circuit();
     const int depth = dag.layerCount();
@@ -316,11 +311,11 @@ lintShape(const CircuitDag &dag, const LintOptions &options,
 
 } // namespace
 
-std::vector<Finding>
+diag::Report
 findCrosstalkClashes(const circuit::Circuit &physical,
                      const std::vector<CrosstalkPair> &pairs)
 {
-    std::vector<Finding> clashes;
+    diag::Report clashes;
     if (pairs.empty())
         return clashes;
     const CircuitDag dag(physical);
@@ -342,37 +337,30 @@ findCrosstalkClashes(const circuit::Circuit &physical,
                 if (!couplingsConflict(pairs, normalize(a.q0, a.q1),
                                        normalize(b.q0, b.q1)))
                     continue;
-                Finding f;
-                f.rule = Rule::CrosstalkClash;
-                f.severity = ruleSeverity(f.rule);
-                f.gate_index = layer[j];
-                f.layer = static_cast<int>(li);
-                f.q0 = b.q0;
-                f.q1 = b.q1;
-                f.message = "co-scheduled with " +
-                            gates[static_cast<std::size_t>(layer[i])]
-                                .toString() +
-                            " (gate " + std::to_string(layer[i]) +
-                            ") on a crosstalk-prone coupling pair";
-                clashes.push_back(std::move(f));
+                clashes.add(Rule::CrosstalkClash, layer[j],
+                            static_cast<int>(li), b.q0, b.q1,
+                            "co-scheduled with " +
+                                gates[static_cast<std::size_t>(layer[i])]
+                                    .toString() +
+                                " (gate " + std::to_string(layer[i]) +
+                                ") on a crosstalk-prone coupling pair");
             }
         }
     }
     return clashes;
 }
 
-LintReport
-lintCircuit(const circuit::Circuit &physical, const LintOptions &options)
+diag::Report
+lintCircuit(const circuit::Circuit &physical, const LintOptions &options,
+            const TimingAnalysis &timing)
 {
-    LintReport report;
+    diag::Report report;
     const CircuitDag dag(physical);
     lintPeepholes(dag, options, report);
     lintUnreliableEdges(dag, options, report);
-    lintTiming(dag, options, report);
+    lintTiming(dag, options, timing, report);
     lintShape(dag, options, report);
-    for (Finding &f : findCrosstalkClashes(physical,
-                                           options.crosstalk_pairs))
-        report.add(std::move(f));
+    report.merge(findCrosstalkClashes(physical, options.crosstalk_pairs));
     return report;
 }
 

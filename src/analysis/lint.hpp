@@ -9,7 +9,8 @@
  * signals: routing over an unreliable edge when the mapping offered a
  * strictly better alternative, idle windows and active windows large
  * against T2, depth hotspots, low layer occupancy, and SWAP overhead.
- * All rules share one CircuitDag traversal plus one timing sweep.
+ * All rules share one CircuitDag traversal; the timing rules read the
+ * sweep analyzeCircuit() already ran.
  */
 
 #ifndef QAOA_ANALYSIS_LINT_HPP
@@ -18,9 +19,9 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/diagnostics.hpp"
 #include "analysis/timing.hpp"
 #include "circuit/circuit.hpp"
+#include "common/diagnostics.hpp"
 #include "hardware/calibration.hpp"
 #include "hardware/coupling_map.hpp"
 
@@ -79,24 +80,25 @@ struct LintOptions
 };
 
 /**
- * Counts concurrently scheduled two-qubit gate pairs landing on a
- * conflicting coupling pair (ASAP layers); one finding per clash.
- * transpiler::countCrosstalkViolations() is this size.
+ * Finds concurrently scheduled two-qubit gate pairs landing on a
+ * conflicting coupling pair (ASAP layers); one QL111 finding per clash.
+ * transpiler::countCrosstalkViolations() is its size.
  */
-std::vector<Finding> findCrosstalkClashes(const circuit::Circuit &physical,
-                                          const std::vector<CrosstalkPair>
-                                              &pairs);
+diag::Report findCrosstalkClashes(const circuit::Circuit &physical,
+                                  const std::vector<CrosstalkPair> &pairs);
 
 /**
- * Runs every applicable QL rule over @p physical.
+ * Runs every applicable QL rule over @p physical; @p timing is its
+ * timing sweep under @p options.  Reached through analyzeCircuit(),
+ * which runs that sweep once for the report and the rules alike.
  *
  * Rules needing hardware context (QL108, QL111) silently skip when the
- * corresponding option is absent.  Findings carry the rule's default
- * severity; QL115 is never produced here (budgets are checked by
- * checkBudget()).
+ * corresponding option is absent.  QL115 is never produced here
+ * (budgets are checked by checkBudget()).
  */
-LintReport lintCircuit(const circuit::Circuit &physical,
-                       const LintOptions &options = {});
+diag::Report lintCircuit(const circuit::Circuit &physical,
+                         const LintOptions &options,
+                         const TimingAnalysis &timing);
 
 } // namespace qaoa::analysis
 

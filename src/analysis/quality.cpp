@@ -28,7 +28,7 @@ analyzeCircuit(const circuit::Circuit &physical,
         out.summary.esp_readout = out.esp.readout;
     }
 
-    out.lint = lintCircuit(physical, options.lint);
+    out.lint = lintCircuit(physical, options.lint, out.timing);
     if (options.budget != nullptr)
         out.lint.merge(checkBudget(out.summary, *options.budget));
     return out;

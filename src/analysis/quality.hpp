@@ -13,11 +13,11 @@
 #define QAOA_ANALYSIS_QUALITY_HPP
 
 #include "analysis/budget.hpp"
-#include "analysis/diagnostics.hpp"
 #include "analysis/esp.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/timing.hpp"
 #include "circuit/circuit.hpp"
+#include "common/diagnostics.hpp"
 
 namespace qaoa::analysis {
 
@@ -56,10 +56,11 @@ struct QualityReport
     QualitySummary summary{};
     EspBreakdown esp{};      ///< Valid when summary.esp >= 0.
     TimingAnalysis timing{};
-    LintReport lint;         ///< QL findings incl. budget violations.
+    diag::Report lint;       ///< QL findings incl. budget violations.
 
-    /** True when no finding reaches severity @p min. */
-    bool clean(Severity min = Severity::Warning) const
+    /** True when no finding reaches severity @p min (by default the
+     *  warning bar: infos are advisory). */
+    bool clean(diag::Severity min = diag::Severity::Warning) const
     {
         return lint.clean(min);
     }

@@ -220,8 +220,7 @@ verifyRung(CompileResult &result, const hw::CouplingMap &map,
     // The peephole optimizer legally deletes CPHASEs whose angle is a
     // multiple of 2pi; don't flag those as missing interactions.
     spec.ignore_zero_interactions = opts.peephole;
-    verify::VerifyReport report =
-        verify::verifyCircuit(result.physical, spec);
+    const diag::Report report = verify::verifyCircuit(result.physical, spec);
     if (!report.clean()) {
         result.status = CompileStatus::Failed;
         result.failure_reason =

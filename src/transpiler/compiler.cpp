@@ -124,7 +124,7 @@ compileCircuit(const circuit::Circuit &logical, const hw::CouplingMap &map,
     // replay, so the check only applies to SWAP-free sources (every
     // in-repo caller).
     if (logical.countType(circuit::GateType::SWAP) == 0) {
-        verify::VerifyReport rv = verify::verifyRouted(
+        const diag::Report rv = verify::verifyRouted(
             logical, routed.physical, map, initial.logToPhys(),
             routed.final_layout.logToPhys());
         QAOA_ASSERT(rv.clean(), "router output failed verification: "

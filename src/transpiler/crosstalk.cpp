@@ -35,7 +35,7 @@ countCrosstalkViolations(const circuit::Circuit &physical,
                          const std::vector<CrosstalkPair> &pairs)
 {
     return static_cast<int>(
-        analysis::findCrosstalkClashes(physical, pairs).size());
+        analysis::findCrosstalkClashes(physical, pairs).diagnostics().size());
 }
 
 circuit::Circuit

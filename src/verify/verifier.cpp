@@ -15,6 +15,8 @@
 
 namespace qaoa::verify {
 
+using diag::Rule;
+
 namespace {
 
 using circuit::Circuit;
@@ -73,7 +75,7 @@ struct Walker
 {
     const Circuit &physical;
     const std::vector<int> &layers;
-    VerifyReport &report;
+    diag::Report &report;
     std::vector<int> phys_to_log;
     std::vector<char> measured;
 
@@ -195,7 +197,7 @@ gateLayers(const Circuit &circuit)
 ReplayResult
 replayToLogical(const Circuit &physical,
                 const std::vector<int> &initial_log_to_phys,
-                bool lift_basis, VerifyReport &report)
+                bool lift_basis, diag::Report &report)
 {
     const int num_physical = physical.numQubits();
     const int num_logical = static_cast<int>(initial_log_to_phys.size());
@@ -329,7 +331,7 @@ void
 matchInteractions(const ReplayResult &replay,
                   const std::vector<ZZTerm> &expected,
                   const std::vector<int> &layers, const VerifySpec &spec,
-                  VerifyReport &report)
+                  diag::Report &report)
 {
     struct Observed
     {
@@ -422,7 +424,7 @@ matchInteractions(const ReplayResult &replay,
 void
 checkHardwareConformance(const Circuit &physical, const VerifySpec &spec,
                          const std::vector<int> &layers,
-                         VerifyReport &report)
+                         diag::Report &report)
 {
     const hw::CouplingMap *map = spec.map;
     if (map != nullptr && physical.numQubits() > map->numQubits())
@@ -466,10 +468,10 @@ checkHardwareConformance(const Circuit &physical, const VerifySpec &spec,
 
 } // namespace
 
-VerifyReport
+diag::Report
 verifyCircuit(const Circuit &physical, const VerifySpec &spec)
 {
-    VerifyReport report;
+    diag::Report report;
     const std::vector<int> layers = gateLayers(physical);
 
     checkHardwareConformance(physical, spec, layers, report);
@@ -550,7 +552,7 @@ verifyCircuit(const Circuit &physical, const VerifySpec &spec)
     return report;
 }
 
-VerifyReport
+diag::Report
 verifyRouted(const Circuit &logical, const Circuit &routed,
              const hw::CouplingMap &map,
              const std::vector<int> &initial_log_to_phys,
@@ -563,11 +565,11 @@ verifyRouted(const Circuit &logical, const Circuit &routed,
     spec.lift_basis = false;
     spec.check_measure_convention = false;
     spec.lints = false;
-    VerifyReport report = verifyCircuit(routed, spec);
+    diag::Report report = verifyCircuit(routed, spec);
 
     // Gate preservation: the routed circuit, re-indexed to logical qubits
     // with SWAPs consumed, must hold exactly the source gate multiset.
-    VerifyReport replay_report;
+    diag::Report replay_report;
     ReplayResult replay = replayToLogical(routed, initial_log_to_phys,
                                           /*lift_basis=*/false,
                                           replay_report);
@@ -594,7 +596,7 @@ verifyRouted(const Circuit &logical, const Circuit &routed,
 
 void
 checkReorder(const Circuit &reference, const Circuit &observed,
-             VerifyReport &report)
+             diag::Report &report)
 {
     std::vector<const Gate *> ref;
     for (const Gate &g : reference.gates())

@@ -38,10 +38,14 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "common/diagnostics.hpp"
 #include "hardware/coupling_map.hpp"
-#include "verify/diagnostics.hpp"
 
 namespace qaoa::verify {
+
+/** The verifier's report under its older name, which the benchmark
+ *  harness (perfbench/) still spells; new code names diag::Report. */
+using VerifyReport = diag::Report;
 
 /** One expected logical ZZ interaction with its absolute CPHASE angle
  *  (the caller expands levels and edge weights: angle = γ_level · w). */
@@ -88,7 +92,7 @@ struct ReplayResult
 [[nodiscard]] ReplayResult
 replayToLogical(const circuit::Circuit &physical,
                 const std::vector<int> &initial_log_to_phys,
-                bool lift_basis, VerifyReport &report);
+                bool lift_basis, diag::Report &report);
 
 /** Inputs of one full verification run. */
 struct VerifySpec
@@ -139,7 +143,7 @@ struct VerifySpec
  * retry-ladder rung through it, and the CLI's --verify/--verify-strict
  * render its report.
  */
-[[nodiscard]] VerifyReport verifyCircuit(const circuit::Circuit &physical,
+[[nodiscard]] diag::Report verifyCircuit(const circuit::Circuit &physical,
                                          const VerifySpec &spec);
 
 /**
@@ -150,7 +154,7 @@ struct VerifySpec
  * replayed mapping matching @p expected_final.  Runs on the routed
  * high-level circuit *before* basis translation and peephole.
  */
-[[nodiscard]] VerifyReport
+[[nodiscard]] diag::Report
 verifyRouted(const circuit::Circuit &logical,
              const circuit::Circuit &routed,
              const hw::CouplingMap &map,
@@ -168,7 +172,7 @@ verifyRouted(const circuit::Circuit &logical,
  * and spot audits, not the hot compile path.  BARRIERs are ignored.
  */
 void checkReorder(const circuit::Circuit &reference,
-                  const circuit::Circuit &observed, VerifyReport &report);
+                  const circuit::Circuit &observed, diag::Report &report);
 
 /** ASAP layer of every gate (BARRIER advances all qubits, occupies no
  *  layer and gets the layer it closes); used for diagnostic locations. */

@@ -27,6 +27,8 @@ namespace {
 using circuit::Circuit;
 using circuit::Gate;
 using circuit::GateType;
+using diag::Rule;
+using diag::Severity;
 
 /** Random hardware-shaped circuit on @p n qubits (1q + 2q + barriers). */
 Circuit
@@ -319,7 +321,7 @@ TEST(Budget, ParseAndCheck)
     QualitySummary s;
     s.depth = 12;
     s.esp = 0.6;
-    LintReport r = checkBudget(s, b);
+    const diag::Report r = checkBudget(s, b);
     EXPECT_EQ(r.count(Rule::BudgetViolation), 1); // depth only
     s.depth = 9;
     EXPECT_TRUE(checkBudget(s, b).spotless());

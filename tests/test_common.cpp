@@ -1,11 +1,15 @@
-/** @file Tests for the common substrate: RNG, statistics, tables. */
+/** @file Tests for the common substrate: RNG, statistics, tables, and
+ * the shared QV/QL diagnostics catalogue. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <sstream>
+#include <string>
 
+#include "common/diagnostics.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -229,6 +233,68 @@ TEST(Stopwatch, MeasuresElapsedTime)
     double before = sw.seconds();
     sw.reset();
     EXPECT_LE(sw.seconds(), before + 1.0);
+}
+
+
+TEST(Diagnostics, CatalogueIsContiguousUniqueAndMatchesDesign)
+{
+    // The wire names and severities of DESIGN.md §8 (QV: all errors but
+    // QV009) and §9 (the QL table's W/I/E column), in Rule order.
+    constexpr diag::Severity E = diag::Severity::Error;
+    constexpr diag::Severity W = diag::Severity::Warning;
+    constexpr diag::Severity I = diag::Severity::Info;
+    const diag::RuleInfo expected[] = {
+        {"QV001", "illegal-coupling", E},
+        {"QV002", "masked-qubit", E},
+        {"QV003", "mapping-mismatch", E},
+        {"QV004", "missing-interaction", E},
+        {"QV005", "spurious-interaction", E},
+        {"QV006", "wrong-angle", E},
+        {"QV007", "gate-after-measure", E},
+        {"QV008", "bad-angle", E},
+        {"QV009", "unused-qubit", W},
+        {"QV010", "non-commuting-reorder", E},
+        {"QV011", "measure-mismatch", E},
+        {"QV012", "operand-range", E},
+        {"QV013", "unmapped-qubit", E},
+        {"QL101", "mergeable-rz", W},
+        {"QL102", "mergeable-cphase", W},
+        {"QL103", "cancelling-cnot", W},
+        {"QL104", "cancelling-swap", I},
+        {"QL105", "trailing-swap", W},
+        {"QL106", "redundant-hadamard", W},
+        {"QL107", "zero-rotation", W},
+        {"QL108", "unreliable-edge", I},
+        {"QL109", "long-idle-window", I},
+        {"QL110", "decoherence-exposure", I},
+        {"QL111", "crosstalk-clash", W},
+        {"QL112", "depth-hotspot", I},
+        {"QL113", "low-parallelism", I},
+        {"QL114", "swap-overhead", I},
+        {"QL115", "budget-violation", E},
+    };
+    ASSERT_EQ(std::size(expected), diag::kRuleCount);
+
+    std::set<std::string> ids, names;
+    for (std::size_t i = 0; i < diag::kRuleCount; ++i) {
+        const diag::RuleInfo &info =
+            diag::ruleInfo(static_cast<diag::Rule>(i));
+        // QV001-QV013, then QL101-QL115, with no gap.
+        char want[8];
+        if (i < 13)
+            std::snprintf(want, sizeof want, "QV%03zu", i + 1);
+        else
+            std::snprintf(want, sizeof want, "QL%03zu", 101 + i - 13);
+        EXPECT_STREQ(info.id, want);
+        EXPECT_STREQ(info.id, expected[i].id);
+        EXPECT_STREQ(info.name, expected[i].name) << info.id;
+        EXPECT_EQ(info.severity, expected[i].severity) << info.id;
+        EXPECT_TRUE(ids.insert(info.id).second) << info.id;
+        EXPECT_TRUE(names.insert(info.name).second) << info.name;
+    }
+    // QL104 is advisory: the stock layered router emits SWAP pairs on
+    // sparse devices and the peephole pass removes them.
+    EXPECT_EQ(diag::ruleInfo(diag::Rule::CancellingSwap).severity, I);
 }
 
 } // namespace

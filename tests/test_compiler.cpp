@@ -33,7 +33,7 @@ TEST(Compiler, ProducesBasisCircuitByDefault)
     EXPECT_TRUE(circuit::isBasisCircuit(r.compiled));
     // verifyRouted subsumes the old satisfiesCoupling() spot-check: gate
     // preservation, coupling conformance and mapping replay in one pass.
-    verify::VerifyReport report = verify::verifyRouted(
+    diag::Report report = verify::verifyRouted(
         logical, r.physical, lin, Layout::identity(2, 3).logToPhys(),
         r.final_layout.logToPhys());
     EXPECT_TRUE(report.clean()) << report.summary();
@@ -119,7 +119,7 @@ TEST(Compiler, SwapCountReflectsRouting)
     EXPECT_EQ(r.report.cx_count, 3 * r.report.swap_count + 1);
     // The routing that produced those SWAPs must certify: same gates on
     // legal edges, replayed mapping equal to the reported one.
-    verify::VerifyReport report = verify::verifyRouted(
+    diag::Report report = verify::verifyRouted(
         c, r.physical, lin, far.logToPhys(), r.final_layout.logToPhys());
     EXPECT_TRUE(report.clean()) << report.summary();
 }

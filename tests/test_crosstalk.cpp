@@ -131,11 +131,11 @@ TEST(Crosstalk, CountAgreesWithAnalysisFindingsSeeded)
         }
         std::vector<CrosstalkPair> pairs{{{0, 1}, {2, 3}},
                                          {{1, 2}, {4, 5}}};
-        auto findings = analysis::findCrosstalkClashes(c, pairs);
+        const diag::Report clashes = analysis::findCrosstalkClashes(c, pairs);
         EXPECT_EQ(countCrosstalkViolations(c, pairs),
-                  static_cast<int>(findings.size()));
-        for (const analysis::Finding &f : findings) {
-            EXPECT_EQ(f.rule, analysis::Rule::CrosstalkClash);
+                  static_cast<int>(clashes.diagnostics().size()));
+        for (const diag::Finding &f : clashes.diagnostics()) {
+            EXPECT_EQ(f.rule, diag::Rule::CrosstalkClash);
             EXPECT_GE(f.layer, 0);
             EXPECT_GE(f.gate_index, 0);
         }

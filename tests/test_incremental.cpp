@@ -56,7 +56,7 @@ TEST(Ic, AllOperationsRoutedExactlyOnce)
         spec.expected_interactions = &terms;
         spec.lift_basis = false;
         spec.lints = false;
-        verify::VerifyReport report =
+        diag::Report report =
             verify::verifyCircuit(r.physical, spec);
         EXPECT_TRUE(report.spotless()) << report.summary();
         EXPECT_EQ(r.physical.countType(circuit::GateType::SWAP),

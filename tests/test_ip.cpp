@@ -36,7 +36,7 @@ void
 expectCommutingReorder(const std::vector<ZZOp> &ops,
                        const std::vector<ZZOp> &order, int n)
 {
-    verify::VerifyReport report;
+    diag::Report report;
     verify::checkReorder(costCircuit(ops, n), costCircuit(order, n),
                          report);
     EXPECT_TRUE(report.spotless()) << report.summary();

@@ -208,7 +208,7 @@ TEST(PeepholeVerify, OptimizedRoutedCircuitStaysClean)
     // Peephole output of a legal routed circuit must verify clean: the
     // optimizer only removes identities, never interactions.
     Circuit out = peepholeOptimize(routedFixture());
-    verify::VerifyReport r =
+    diag::Report r =
         verify::verifyCircuit(out, fixtureSpec(kTerms));
     EXPECT_TRUE(r.clean()) << r.summary();
 }
@@ -226,10 +226,10 @@ TEST(PeepholeVerify, DroppedCphaseIsFlaggedQV004)
         }
         c.add(g);
     }
-    verify::VerifyReport r = verify::verifyCircuit(
+    diag::Report r = verify::verifyCircuit(
         peepholeOptimize(c), fixtureSpec(kTerms));
     EXPECT_FALSE(r.clean());
-    EXPECT_EQ(r.count(verify::Rule::MissingInteraction), 1);
+    EXPECT_EQ(r.count(diag::Rule::MissingInteraction), 1);
 }
 
 TEST(PeepholeVerify, WrongSwapTargetIsFlagged)
@@ -241,11 +241,11 @@ TEST(PeepholeVerify, WrongSwapTargetIsFlagged)
     Circuit c(4);
     for (const Gate &g : src.gates())
         c.add(g.type == GateType::SWAP ? Gate::swap(2, 3) : g);
-    verify::VerifyReport r = verify::verifyCircuit(
+    diag::Report r = verify::verifyCircuit(
         peepholeOptimize(c), fixtureSpec(kTerms));
     EXPECT_FALSE(r.clean());
-    EXPECT_GE(r.count(verify::Rule::MappingMismatch), 1);
-    EXPECT_GE(r.count(verify::Rule::MissingInteraction), 1);
+    EXPECT_GE(r.count(diag::Rule::MappingMismatch), 1);
+    EXPECT_GE(r.count(diag::Rule::MissingInteraction), 1);
 }
 
 TEST(PeepholeVerify, StaleMappingIsFlaggedQV003)
@@ -255,10 +255,10 @@ TEST(PeepholeVerify, StaleMappingIsFlaggedQV003)
     std::vector<verify::ZZTerm> terms = kTerms;
     verify::VerifySpec spec = fixtureSpec(terms);
     spec.expected_final = {0, 1, 2}; // pre-SWAP mapping reported as final
-    verify::VerifyReport r =
+    diag::Report r =
         verify::verifyCircuit(peepholeOptimize(routedFixture()), spec);
     EXPECT_FALSE(r.clean());
-    EXPECT_EQ(r.count(verify::Rule::MappingMismatch), 2);
+    EXPECT_EQ(r.count(diag::Rule::MappingMismatch), 2);
 }
 
 TEST(PeepholeVerify, ZeroAngleRemovalNeedsOptInTolerance)
@@ -277,11 +277,11 @@ TEST(PeepholeVerify, ZeroAngleRemovalNeedsOptInTolerance)
     spec.expected_interactions = &terms;
     spec.lift_basis = false;
     spec.lints = false;
-    verify::VerifyReport strict = verify::verifyCircuit(out, spec);
+    diag::Report strict = verify::verifyCircuit(out, spec);
     EXPECT_FALSE(strict.clean()); // the identity CPHASE is gone
 
     spec.ignore_zero_interactions = true;
-    verify::VerifyReport tolerant = verify::verifyCircuit(out, spec);
+    diag::Report tolerant = verify::verifyCircuit(out, spec);
     EXPECT_TRUE(tolerant.clean()) << tolerant.summary();
 }
 

@@ -137,7 +137,7 @@ TEST(Qasm, RoundTripPreservesInteractionEquivalence)
     spec.expected_final = r.final_layout.logToPhys();
     spec.expected_interactions = &terms;
     spec.lift_basis = true; // see through the exported cx/rz/cx triples
-    verify::VerifyReport report = verify::verifyCircuit(reparsed, spec);
+    diag::Report report = verify::verifyCircuit(reparsed, spec);
     EXPECT_TRUE(report.spotless()) << report.summary();
 }
 
@@ -160,13 +160,13 @@ TEST(Qasm, RoundTripCatchesTamperedText)
     spec.initial_log_to_phys = {0, 1};
     spec.expected_interactions = &terms;
     spec.lift_basis = true;
-    verify::VerifyReport report =
+    diag::Report report =
         verify::verifyCircuit(parseQasm(text), spec);
     EXPECT_FALSE(report.clean());
     // Without the rz the cx/cx pair no longer lifts: the interaction is
     // missing and the bare CNOTs are spurious entanglers.
-    EXPECT_EQ(report.count(verify::Rule::MissingInteraction), 1);
-    EXPECT_GE(report.count(verify::Rule::SpuriousInteraction), 1);
+    EXPECT_EQ(report.count(diag::Rule::MissingInteraction), 1);
+    EXPECT_GE(report.count(diag::Rule::SpuriousInteraction), 1);
 }
 
 } // namespace

@@ -24,6 +24,8 @@ namespace {
 using circuit::Circuit;
 using circuit::Gate;
 using circuit::GateType;
+using diag::Rule;
+using diag::Severity;
 
 /**
  * Reference physical circuit on linearDevice(4): three logical qubits
@@ -76,7 +78,7 @@ struct Fixture
 
 TEST(VerifyReport, CountsAndSummary)
 {
-    VerifyReport r;
+    diag::Report r;
     EXPECT_TRUE(r.clean());
     EXPECT_TRUE(r.spotless());
     EXPECT_EQ(r.summary(), "clean");
@@ -85,15 +87,20 @@ TEST(VerifyReport, CountsAndSummary)
     r.add(Rule::IllegalCoupling, "another");
     r.add(Rule::UnusedQubit, "idle");
     EXPECT_FALSE(r.clean());
-    EXPECT_EQ(r.errorCount(), 2);
-    EXPECT_EQ(r.warningCount(), 1);
+    EXPECT_EQ(r.countSeverity(Severity::Error), 2);
+    EXPECT_EQ(r.countSeverity(Severity::Warning), 1);
     EXPECT_EQ(r.count(Rule::IllegalCoupling), 2);
     EXPECT_EQ(r.summary(), "2 errors, 1 warning (QV001 x2, QV009)");
+
+    // Zero counts are omitted: a warnings-only report names no errors.
+    diag::Report warnings;
+    warnings.add(Rule::UnusedQubit, "idle");
+    EXPECT_EQ(warnings.summary(), "1 warning (QV009)");
 }
 
 TEST(VerifyReport, WarningsOnlyIsCleanButNotSpotless)
 {
-    VerifyReport r;
+    diag::Report r;
     r.add(Rule::UnusedQubit, "idle");
     EXPECT_TRUE(r.clean());
     EXPECT_FALSE(r.spotless());
@@ -101,15 +108,23 @@ TEST(VerifyReport, WarningsOnlyIsCleanButNotSpotless)
 
 TEST(VerifyReport, TableAndCsvRenderRuleIds)
 {
-    VerifyReport r;
+    diag::Report r;
     r.add(Rule::MappingMismatch, -1, -1, 4, 2, "detail text");
     std::ostringstream text, csv;
-    r.print(text);
-    r.print(csv, /*csv=*/true);
-    EXPECT_NE(text.str().find("QV003"), std::string::npos);
-    EXPECT_NE(text.str().find("mapping-mismatch"), std::string::npos);
-    EXPECT_NE(csv.str().find("QV003"), std::string::npos);
-    EXPECT_NE(text.str().find("1 error"), std::string::npos);
+    r.print(text, "verification");
+    r.print(csv, "verification", /*csv=*/true);
+    EXPECT_EQ(text.str(),
+              "rule   name              severity  gate  layer  qubits  "
+              "detail     \n"
+              "-------------------------------------------------------"
+              "------------\n"
+              "QV003  mapping-mismatch  error     -     -      q4,q2   "
+              "detail text\n"
+              "verification: 1 error (QV003)\n");
+    EXPECT_EQ(csv.str(),
+              "rule,name,severity,gate,layer,qubits,detail\n"
+              "QV003,mapping-mismatch,error,-,-,q4,q2,detail text\n"
+              "verification: 1 error (QV003)\n");
 }
 
 TEST(GateLayers, AsapLayersMatchDepthSemantics)
@@ -131,7 +146,7 @@ TEST(GateLayers, AsapLayersMatchDepthSemantics)
 
 TEST(Replay, TracksSwapsAndInteractions)
 {
-    VerifyReport report;
+    diag::Report report;
     ReplayResult r = replayToLogical(referenceCircuit(), {0, 1, 2},
                                      /*lift_basis=*/false, report);
     EXPECT_TRUE(report.spotless());
@@ -153,7 +168,7 @@ TEST(Replay, LiftsDecomposedBasisPatterns)
     // the replay must see through both.
     Circuit basis = circuit::decomposeToBasis(referenceCircuit());
     EXPECT_EQ(basis.countType(GateType::CPHASE), 0);
-    VerifyReport report;
+    diag::Report report;
     ReplayResult r =
         replayToLogical(basis, {0, 1, 2}, /*lift_basis=*/true, report);
     EXPECT_TRUE(report.spotless());
@@ -187,7 +202,7 @@ TEST(VerifyNegative, DroppedInteractionIsQV004)
     for (const Gate &g : ref.gates())
         if (!(g.type == GateType::CPHASE && g.q0 == 1 && g.q1 == 2))
             c.add(g); // drops both CPHASEs on physical (1,2)
-    VerifyReport r = verifyCircuit(c, f.spec);
+    diag::Report r = verifyCircuit(c, f.spec);
     EXPECT_FALSE(r.clean());
     EXPECT_EQ(r.count(Rule::MissingInteraction), 2);
 }
@@ -197,7 +212,7 @@ TEST(VerifyNegative, ExtraInteractionIsQV005)
     Fixture f;
     Circuit c = referenceCircuit();
     c.add(Gate::cphase(1, 2, 0.7));
-    VerifyReport r = verifyCircuit(c, f.spec);
+    diag::Report r = verifyCircuit(c, f.spec);
     EXPECT_GE(r.count(Rule::SpuriousInteraction), 1);
 }
 
@@ -212,7 +227,7 @@ TEST(VerifyNegative, WrongAngleIsQV006)
             copy.params[0] = 0.9; // ZZ(0,1) angle corrupted
         c.add(copy);
     }
-    VerifyReport r = verifyCircuit(c, f.spec);
+    diag::Report r = verifyCircuit(c, f.spec);
     EXPECT_EQ(r.count(Rule::WrongAngle), 1);
     EXPECT_EQ(r.count(Rule::MissingInteraction), 0);
 }
@@ -243,7 +258,7 @@ TEST(VerifyNegative, IllegalCouplingIsQV001)
             copy.q1 = 2;
         bad.add(copy);
     }
-    VerifyReport r = verifyCircuit(bad, f.spec);
+    diag::Report r = verifyCircuit(bad, f.spec);
     EXPECT_GE(r.count(Rule::IllegalCoupling), 1);
 }
 
@@ -252,7 +267,7 @@ TEST(VerifyNegative, MaskedQubitIsQV002)
     Fixture f;
     std::vector<char> allowed{1, 1, 0, 1}; // physical q2 is dead
     f.spec.allowed_qubits = &allowed;
-    VerifyReport r = verifyCircuit(referenceCircuit(), f.spec);
+    diag::Report r = verifyCircuit(referenceCircuit(), f.spec);
     EXPECT_GE(r.count(Rule::MaskedQubit), 1);
 }
 
@@ -260,7 +275,7 @@ TEST(VerifyNegative, StaleMappingIsQV003)
 {
     Fixture f;
     f.spec.expected_final = {0, 1, 2}; // pre-SWAP (stale) mapping
-    VerifyReport r = verifyCircuit(referenceCircuit(), f.spec);
+    diag::Report r = verifyCircuit(referenceCircuit(), f.spec);
     EXPECT_EQ(r.count(Rule::MappingMismatch), 2); // l0 and l1 disagree
 }
 
@@ -275,7 +290,7 @@ TEST(VerifyNegative, WrongSwapTargetIsCaught)
             copy = Gate::swap(1, 2); // router "meant" swap(0,1)
         c.add(copy);
     }
-    VerifyReport r = verifyCircuit(c, f.spec);
+    diag::Report r = verifyCircuit(c, f.spec);
     EXPECT_FALSE(r.clean());
     // The replayed mapping no longer matches the reported one, and the
     // post-SWAP CPHASE binds the wrong logical pair.
@@ -288,7 +303,7 @@ TEST(VerifyNegative, GateAfterMeasureIsQV007)
     Fixture f;
     Circuit c = referenceCircuit();
     c.add(Gate::h(1));
-    VerifyReport r = verifyCircuit(c, f.spec);
+    diag::Report r = verifyCircuit(c, f.spec);
     EXPECT_EQ(r.count(Rule::GateAfterMeasure), 1);
 }
 
@@ -303,7 +318,7 @@ TEST(VerifyNegative, NanAngleIsQV008)
             copy.params[0] = std::numeric_limits<double>::quiet_NaN();
         c.add(copy);
     }
-    VerifyReport r = verifyCircuit(c, f.spec);
+    diag::Report r = verifyCircuit(c, f.spec);
     EXPECT_EQ(r.count(Rule::BadAngle), 1);
 }
 
@@ -312,7 +327,7 @@ TEST(VerifyNegative, UnusedMappedQubitWarnsQV009)
     Fixture f;
     f.spec.initial_log_to_phys = {0, 1, 2, 3}; // logical 3 on idle p3
     f.spec.expected_final = {1, 0, 2, 3};
-    VerifyReport r = verifyCircuit(referenceCircuit(), f.spec);
+    diag::Report r = verifyCircuit(referenceCircuit(), f.spec);
     EXPECT_TRUE(r.clean()); // warning only
     EXPECT_FALSE(r.spotless());
     EXPECT_EQ(r.count(Rule::UnusedQubit), 1);
@@ -329,7 +344,7 @@ TEST(VerifyNegative, MeasureConventionIsQV011)
             copy.cbit = 5;
         c.add(copy);
     }
-    VerifyReport r = verifyCircuit(c, f.spec);
+    diag::Report r = verifyCircuit(c, f.spec);
     EXPECT_EQ(r.count(Rule::MeasureMismatch), 1);
 }
 
@@ -340,7 +355,7 @@ TEST(VerifyNegative, DegenerateOperandsAreQV012)
     Gate g = Gate::cnot(1, 2);
     g.q1 = 1; // corrupt post-construction: both operands on q1
     c.add(g);
-    VerifyReport r = verifyCircuit(c, f.spec);
+    diag::Report r = verifyCircuit(c, f.spec);
     EXPECT_GE(r.count(Rule::OperandRange), 1);
 }
 
@@ -349,7 +364,7 @@ TEST(VerifyNegative, GateOnUnmappedQubitIsQV013)
     Fixture f;
     Circuit c = referenceCircuit();
     c.add(Gate::rx(3, 0.4)); // p3 holds no logical qubit
-    VerifyReport r = verifyCircuit(c, f.spec);
+    diag::Report r = verifyCircuit(c, f.spec);
     EXPECT_EQ(r.count(Rule::UnmappedQubit), 1);
 }
 
@@ -365,7 +380,7 @@ TEST(CheckReorder, CommutingCphaseReorderIsClean)
     obs.add(Gate::cphase(0, 2, 0.5)); // CPHASEs all commute
     obs.add(Gate::cphase(0, 1, 0.5));
     obs.add(Gate::cphase(1, 2, 0.5));
-    VerifyReport r;
+    diag::Report r;
     checkReorder(ref, obs, r);
     EXPECT_TRUE(r.spotless());
 }
@@ -378,7 +393,7 @@ TEST(CheckReorder, NonCommutingExchangeIsQV010)
     Circuit obs(2);
     obs.add(Gate::cphase(0, 1, 0.5)); // H and CPHASE do not commute
     obs.add(Gate::h(0));
-    VerifyReport r;
+    diag::Report r;
     checkReorder(ref, obs, r);
     EXPECT_EQ(r.count(Rule::NonCommutingReorder), 1);
 }
@@ -391,7 +406,7 @@ TEST(CheckReorder, MultisetMismatchSurfaces)
     Circuit obs(2);
     obs.add(Gate::cphase(0, 1, 0.5));
     obs.add(Gate::h(1)); // wrong qubit
-    VerifyReport r;
+    diag::Report r;
     checkReorder(ref, obs, r);
     EXPECT_GE(r.count(Rule::SpuriousInteraction), 1);
     EXPECT_GE(r.count(Rule::MissingInteraction), 1);
@@ -403,7 +418,7 @@ TEST(CheckReorder, SymmetricOperandOrderDoesNotMatter)
     ref.add(Gate::cphase(0, 1, 0.5));
     Circuit obs(2);
     obs.add(Gate::cphase(1, 0, 0.5));
-    VerifyReport r;
+    diag::Report r;
     checkReorder(ref, obs, r);
     EXPECT_TRUE(r.spotless());
 }

@@ -69,7 +69,7 @@ expectSpotless(const transpiler::CompileResult &r,
     spec.expected_final = r.final_layout.logToPhys();
     spec.expected_interactions = &terms;
     spec.lift_basis = false;
-    verify::VerifyReport report = verify::verifyCircuit(r.physical, spec);
+    diag::Report report = verify::verifyCircuit(r.physical, spec);
     EXPECT_TRUE(report.spotless())
         << context << ": " << report.summary();
 }

@@ -333,9 +333,9 @@ runCompile(int argc, char **argv)
             spec.expected_interactions = &expected;
             spec.lift_basis = false; // r.physical holds high-level gates
             spec.ignore_zero_interactions = peephole;
-            verify::VerifyReport report =
+            const diag::Report report =
                 verify::verifyCircuit(r.physical, spec);
-            report.print(std::cout, verify_csv);
+            report.print(std::cout, "verification", verify_csv);
             const bool pass =
                 verify_strict ? report.spotless() : report.clean();
             if (!pass) {

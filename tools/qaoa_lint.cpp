@@ -39,13 +39,13 @@ namespace {
 
 using namespace qaoa;
 
-analysis::Severity
+diag::Severity
 severityFromName(const std::string &name)
 {
     if (name == "info")
-        return analysis::Severity::Info;
-    return name == "warning" ? analysis::Severity::Warning
-                             : analysis::Severity::Error;
+        return diag::Severity::Info;
+    return name == "warning" ? diag::Severity::Warning
+                             : diag::Severity::Error;
 }
 
 /** Parses "0-1x2-3,5-6x7-8" into crosstalk coupling pairs. */
@@ -79,7 +79,7 @@ struct MethodRow
     double exec_ns = 0.0;  ///< Mean makespan.
     double esp = 0.0;      ///< Geomean ESP.
     double coherence = 0.0; ///< Geomean decoherence-exposure factor.
-    analysis::LintReport findings; ///< Merged across instances.
+    diag::Report findings; ///< Merged across instances.
 };
 
 double
@@ -259,12 +259,12 @@ runLint(int argc, char **argv)
                     << ", \"coherence\": "
                     << Table::num(r.coherence, 6)
                     << ", \"errors\": "
-                    << r.findings.countSeverity(analysis::Severity::Error)
+                    << r.findings.countSeverity(diag::Severity::Error)
                     << ", \"warnings\": "
                     << r.findings.countSeverity(
-                           analysis::Severity::Warning)
+                           diag::Severity::Warning)
                     << ", \"infos\": "
-                    << r.findings.countSeverity(analysis::Severity::Info)
+                    << r.findings.countSeverity(diag::Severity::Info)
                     << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
             }
             std::cout << "]\n";
@@ -279,11 +279,11 @@ runLint(int argc, char **argv)
                           Table::num(r.exec_ns, 1), Table::num(r.esp, 6),
                           Table::num(r.coherence, 6),
                           std::to_string(r.findings.countSeverity(
-                              analysis::Severity::Error)),
+                              diag::Severity::Error)),
                           std::to_string(r.findings.countSeverity(
-                              analysis::Severity::Warning)),
+                              diag::Severity::Warning)),
                           std::to_string(r.findings.countSeverity(
-                              analysis::Severity::Info))});
+                              diag::Severity::Info))});
             if (format == "csv")
                 t.printCsv(std::cout);
             else
@@ -294,7 +294,7 @@ runLint(int argc, char **argv)
             dirty = dirty || !clean;
             if (format == "text" && !clean) {
                 std::cout << "\n" << r.method << " findings:\n";
-                r.findings.print(std::cout, false);
+                r.findings.print(std::cout, "lint");
             } else if (format == "text") {
                 std::cout << r.method << " lint: "
                           << r.findings.summary() << "\n";
