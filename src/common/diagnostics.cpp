@@ -1,5 +1,6 @@
 #include "common/diagnostics.hpp"
 
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -9,17 +10,17 @@
 namespace qaoa::diag {
 
 namespace {
+
 constexpr Severity E = Severity::Error;
 constexpr Severity W = Severity::Warning;
 constexpr Severity I = Severity::Info;
-} // namespace
 
 // QV rules are errors except QV009.  QL warnings flag structure a
 // quality-preserving compiler should never emit; QL infos are advisory
 // cost-model signals.  QL104 is advisory because the paper-faithful
 // layered router legitimately emits back-to-back SWAP pairs on sparse
 // topologies (the peephole pass removes them when enabled).
-const std::array<RuleInfo, kRuleCount> kRules = {{
+constexpr std::array<RuleInfo, kRuleCount> kRules = {{
     {"QV001", "illegal-coupling", E},
     {"QV002", "masked-qubit", E},
     {"QV003", "mapping-mismatch", E},
@@ -50,6 +51,14 @@ const std::array<RuleInfo, kRuleCount> kRules = {{
     {"QL115", "budget-violation", E},
 }};
 
+} // namespace
+
+const RuleInfo &
+ruleInfo(Rule r)
+{
+    return kRules[static_cast<std::size_t>(r)];
+}
+
 const char *
 severityName(Severity s)
 {
@@ -63,17 +72,11 @@ severityName(Severity s)
 }
 
 void
-Report::add(Finding f)
-{
-    ++by_severity_[static_cast<std::size_t>(ruleInfo(f.rule).severity)];
-    findings_.push_back(std::move(f));
-}
-
-void
 Report::add(Rule rule, int gate_index, int layer, int q0, int q1,
             std::string message)
 {
-    add(Finding{rule, gate_index, layer, q0, q1, std::move(message)});
+    ++by_severity_[static_cast<std::size_t>(ruleInfo(rule).severity)];
+    findings_.push_back({rule, gate_index, layer, q0, q1, std::move(message)});
 }
 
 void
@@ -85,8 +88,11 @@ Report::add(Rule rule, std::string message)
 void
 Report::merge(Report other)
 {
-    for (Finding &f : other.findings_)
-        add(std::move(f));
+    for (std::size_t s = 0; s < by_severity_.size(); ++s)
+        by_severity_[s] += other.by_severity_[s];
+    findings_.insert(findings_.end(),
+                     std::make_move_iterator(other.findings_.begin()),
+                     std::make_move_iterator(other.findings_.end()));
 }
 
 int

@@ -102,15 +102,8 @@ struct RuleInfo
 inline constexpr std::size_t kRuleCount =
     static_cast<std::size_t>(Rule::BudgetViolation) + 1;
 
-/** The catalogue, indexed by Rule. */
-extern const std::array<RuleInfo, kRuleCount> kRules;
-
 /** The catalogue row of @p r. */
-inline const RuleInfo &
-ruleInfo(Rule r)
-{
-    return kRules[static_cast<std::size_t>(r)];
-}
+const RuleInfo &ruleInfo(Rule r);
 
 /** One finding, anchored to a gate when one is implicated. */
 struct Finding
@@ -133,10 +126,7 @@ struct Finding
 class Report
 {
   public:
-    /** Appends a fully built finding. */
-    void add(Finding f);
-
-    /** Builds and appends a finding. */
+    /** Appends a finding located at a gate, layer and qubits. */
     void add(Rule rule, int gate_index, int layer, int q0, int q1,
              std::string message);
 
