@@ -13,8 +13,8 @@ namespace qaoa::analysis {
 namespace {
 
 using circuit::Gate;
-using diag::Rule;
 using circuit::GateType;
+using diag::Rule;
 
 Coupling
 normalize(int a, int b)
