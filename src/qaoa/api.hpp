@@ -48,7 +48,8 @@ std::string methodName(Method m);
  */
 Method methodFromName(const std::string &name);
 
-/** Options for compileQaoaMaxcut(). */
+/** Options for compileQaoaMaxcut() and compileQaoaIsing(); both run
+ *  the same pipeline, so every option means the same for either. */
 struct QaoaCompileOptions
 {
     Method method = Method::Ic;
@@ -171,9 +172,16 @@ transpiler::CompileResult compileQaoaMaxcut(const graph::Graph &problem,
  * Compiles the QAOA circuit of an arbitrary Ising cost Hamiltonian
  * (§VI "Applicability beyond QAOA-MaxCut") with the chosen methodology.
  *
- * The quadratic (CPHASE) terms flow through the same QAIM / IP / IC /
- * VIC machinery as MaxCut; linear terms compile to virtual RZ rotations
- * at the qubits' post-cost-layer positions.
+ * The model's cost layer (IsingModel::cost()) goes through the same
+ * pipeline as MaxCut, which is its unit-angle, field-free case: the
+ * quadratic (CPHASE) terms flow through QAIM / IP / IC / VIC, and the
+ * linear terms compile to virtual RZ rotations at the qubits'
+ * post-cost-layer positions.  Failure and degradation behave as in
+ * compileQaoaMaxcut().
+ *
+ * @throws std::runtime_error for fewer than two spins, more spins than
+ *         the device has qubits, mismatched angle vectors or VIC
+ *         without calibration data.
  */
 transpiler::CompileResult compileQaoaIsing(const IsingModel &model,
                                            const hw::CouplingMap &map,

@@ -73,6 +73,17 @@ IsingModel::quadraticOps() const
     return ops;
 }
 
+CostHamiltonian
+IsingModel::cost() const
+{
+    CostHamiltonian cost{numSpins(), quadraticOps(), linear_};
+    for (ZZOp &op : cost.zz)
+        op.weight *= 2.0;
+    for (double &h : cost.z)
+        h *= 2.0;
+    return cost;
+}
+
 double
 IsingModel::energy(std::uint64_t assignment) const
 {
@@ -103,40 +114,6 @@ IsingModel::groundState() const
         }
     }
     return best;
-}
-
-circuit::Circuit
-buildIsingQaoaCircuit(const IsingModel &model,
-                      const std::vector<ZZOp> &quad_order,
-                      const std::vector<double> &gammas,
-                      const std::vector<double> &betas, bool measure)
-{
-    QAOA_CHECK(gammas.size() == betas.size() && !gammas.empty(),
-               "need one (gamma, beta) pair per level");
-    const int n = model.numSpins();
-    circuit::Circuit c(n);
-    for (int q = 0; q < n; ++q)
-        c.add(circuit::Gate::h(q));
-    for (std::size_t level = 0; level < gammas.size(); ++level) {
-        double gamma = gammas[level];
-        // Quadratic terms: e^{-i gamma J ZZ} == CPHASE(2 gamma J) up to
-        // global phase.
-        for (const ZZOp &op : quad_order)
-            c.add(circuit::Gate::cphase(op.a, op.b,
-                                        2.0 * gamma * op.weight));
-        // Linear terms: e^{-i gamma h Z} == RZ(2 gamma h).
-        for (int q = 0; q < n; ++q) {
-            double h = model.linear(q);
-            if (h != 0.0)
-                c.add(circuit::Gate::rz(q, 2.0 * gamma * h));
-        }
-        for (int q = 0; q < n; ++q)
-            c.add(circuit::Gate::rx(q, 2.0 * betas[level]));
-    }
-    if (measure)
-        for (int q = 0; q < n; ++q)
-            c.add(circuit::Gate::measure(q, q));
-    return c;
 }
 
 IsingModel

@@ -8,9 +8,10 @@
  * whose quadratic terms become ZZ-interactions (CPHASE gates) and whose
  * linear terms become single-qubit RZ rotations.  All four compilation
  * methodologies apply unchanged because the CPHASE set is still mutually
- * commuting — this module provides the general builder plus canonical
- * problem encodings (MaxCut, weighted MaxCut, number partitioning,
- * vertex cover via QUBO).
+ * commuting — IsingModel::cost() hands the model to the one QAOA
+ * builder and compile pipeline, and this module adds canonical problem
+ * encodings (MaxCut, weighted MaxCut, number partitioning, vertex cover
+ * via QUBO).
  */
 
 #ifndef QAOA_QAOA_ISING_HPP
@@ -19,7 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "circuit/circuit.hpp"
 #include "graph/graph.hpp"
 #include "qaoa/problem.hpp"
 
@@ -61,6 +61,14 @@ class IsingModel
     /** Non-zero quadratic terms as ZZ operations (weight = J). */
     std::vector<ZZOp> quadraticOps() const;
 
+    /**
+     * The QAOA cost layer of the model: e^{-iγJ ZZ} is CPHASE(2γJ) and
+     * e^{-iγh Z} is RZ(2γh) up to global phase, so the ZZ terms are
+     * quadraticOps() with weight 2J and the fields are 2h.  Doubling is
+     * exact in binary floating point, so γ·(2J) rounds like (2γ)·J.
+     */
+    CostHamiltonian cost() const;
+
     /** Energy of a computational-basis assignment. */
     double energy(std::uint64_t assignment) const;
 
@@ -79,20 +87,6 @@ class IsingModel
     std::vector<ZZOp> quadratic_; ///< weight carries J_ik.
     double offset_ = 0.0;
 };
-
-/**
- * Builds the level-p QAOA circuit for an Ising cost Hamiltonian.
- *
- * Per level with angle γ: CPHASE(2γ·J_ik) per quadratic term and
- * RZ(2γ·h_i) per linear term, then the RX(2β) mixer.  The quadratic
- * terms follow @p quad_order (the IP/IC re-ordering hook); pass
- * model.quadraticOps() for the natural order.
- */
-circuit::Circuit buildIsingQaoaCircuit(const IsingModel &model,
-                                       const std::vector<ZZOp> &quad_order,
-                                       const std::vector<double> &gammas,
-                                       const std::vector<double> &betas,
-                                       bool measure = true);
 
 /** @name Canonical encodings
  * @{ */

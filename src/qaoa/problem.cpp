@@ -14,8 +14,14 @@ costOperations(const graph::Graph &problem)
     return ops;
 }
 
+CostHamiltonian
+maxcutCost(const graph::Graph &problem)
+{
+    return {problem.numNodes(), costOperations(problem), {}};
+}
+
 circuit::Circuit
-buildQaoaCircuit(int num_qubits, const std::vector<ZZOp> &cost_ops,
+buildQaoaCircuit(const CostHamiltonian &cost,
                  const std::vector<double> &gammas,
                  const std::vector<double> &betas, bool measure)
 {
@@ -25,20 +31,34 @@ buildQaoaCircuit(int num_qubits, const std::vector<ZZOp> &cost_ops,
                    << " betas");
     QAOA_CHECK(!gammas.empty(), "QAOA needs at least one level");
 
-    circuit::Circuit c(num_qubits);
-    for (int q = 0; q < num_qubits; ++q)
+    const int n = cost.num_qubits;
+    circuit::Circuit c(n);
+    for (int q = 0; q < n; ++q)
         c.add(circuit::Gate::h(q));
     for (std::size_t level = 0; level < gammas.size(); ++level) {
-        for (const ZZOp &op : cost_ops)
-            c.add(circuit::Gate::cphase(op.a, op.b,
-                                        gammas[level] * op.weight));
-        for (int q = 0; q < num_qubits; ++q)
+        const double gamma = gammas[level];
+        for (const ZZOp &op : cost.zz)
+            c.add(circuit::Gate::cphase(op.a, op.b, gamma * op.weight));
+        for (std::size_t q = 0; q < cost.z.size(); ++q)
+            if (cost.z[q] != 0.0)
+                c.add(circuit::Gate::rz(static_cast<int>(q),
+                                        gamma * cost.z[q]));
+        for (int q = 0; q < n; ++q)
             c.add(circuit::Gate::rx(q, 2.0 * betas[level]));
     }
     if (measure)
-        for (int q = 0; q < num_qubits; ++q)
+        for (int q = 0; q < n; ++q)
             c.add(circuit::Gate::measure(q, q));
     return c;
+}
+
+circuit::Circuit
+buildQaoaCircuit(int num_qubits, const std::vector<ZZOp> &cost_ops,
+                 const std::vector<double> &gammas,
+                 const std::vector<double> &betas, bool measure)
+{
+    return buildQaoaCircuit(CostHamiltonian{num_qubits, cost_ops, {}},
+                            gammas, betas, measure);
 }
 
 circuit::Circuit
@@ -46,8 +66,7 @@ buildQaoaCircuit(const graph::Graph &problem,
                  const std::vector<double> &gammas,
                  const std::vector<double> &betas, bool measure)
 {
-    return buildQaoaCircuit(problem.numNodes(), costOperations(problem),
-                            gammas, betas, measure);
+    return buildQaoaCircuit(maxcutCost(problem), gammas, betas, measure);
 }
 
 } // namespace qaoa::core

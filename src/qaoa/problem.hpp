@@ -1,11 +1,13 @@
 /**
  * @file
- * QAOA-MaxCut problem construction.
+ * QAOA circuit construction.
  *
- * The cost Hamiltonian of a MaxCut instance is one ZZ-interaction per
- * problem-graph edge, executed as a CPHASE gate (§II "QAOA-circuits").
- * The full level-p circuit is: H on every qubit, then p repetitions of
- * (cost layer with angle γ_i, mixer RX(2·β_i) on every qubit), then
+ * A QAOA cost layer is a set of mutually commuting ZZ-interactions,
+ * executed as CPHASE gates (§II "QAOA-circuits"), plus optional
+ * single-qubit Z fields executed as RZ rotations (§VI).  MaxCut is the
+ * case with one ZZ term per problem-graph edge and no fields.  The full
+ * level-p circuit is: H on every qubit, then p repetitions of (cost
+ * layer with angle γ_i, mixer RX(2·β_i) on every qubit), then
  * measurement.
  */
 
@@ -29,19 +31,43 @@ struct ZZOp
     bool operator==(const ZZOp &other) const = default;
 };
 
+/**
+ * A cost layer as gate angles per unit γ: the level with angle γ emits
+ * CPHASE(γ·op.weight) per ZZ term, in the order of @ref zz, then
+ * RZ(γ·z[q]) per non-zero field.  Every QAOA compile goes through this
+ * one form; MaxCut has no fields (maxcutCost()), an Ising model folds
+ * its factor of two into the values (IsingModel::cost()).
+ */
+struct CostHamiltonian
+{
+    int num_qubits = 0;    ///< Logical qubits.
+    std::vector<ZZOp> zz;  ///< Two-qubit terms (the order is the knob
+                           ///< IP/IC exploit).
+    std::vector<double> z; ///< Per-qubit fields; empty when none.
+};
+
 /** Cost-Hamiltonian operations of a MaxCut instance (one per edge). */
 std::vector<ZZOp> costOperations(const graph::Graph &problem);
 
+/** The MaxCut cost layer: CPHASE(γ·w) per edge, zero-weight edges
+ *  included, and no fields. */
+CostHamiltonian maxcutCost(const graph::Graph &problem);
+
 /**
- * Builds the logical level-p QAOA-MaxCut circuit.
+ * Builds the logical level-p QAOA circuit of @p cost.
  *
- * @param num_qubits Number of logical qubits (problem-graph nodes).
- * @param cost_ops   Cost operations; applied in the given order in every
- *                   level (the order is the knob IP/IC exploit).
- * @param gammas     Cost angles, one per level.
- * @param betas      Mixer angles, one per level.
- * @param measure    Append measurements (qubit l -> classical bit l).
+ * @param cost    Cost layer; its ZZ terms are applied in the given order
+ *                in every level, so callers reorder cost.zz first.
+ * @param gammas  Cost angles, one per level.
+ * @param betas   Mixer angles, one per level.
+ * @param measure Append measurements (qubit l -> classical bit l).
  */
+circuit::Circuit buildQaoaCircuit(const CostHamiltonian &cost,
+                                  const std::vector<double> &gammas,
+                                  const std::vector<double> &betas,
+                                  bool measure = true);
+
+/** MaxCut-style overload: @p cost_ops on @p num_qubits, no fields. */
 circuit::Circuit buildQaoaCircuit(int num_qubits,
                                   const std::vector<ZZOp> &cost_ops,
                                   const std::vector<double> &gammas,

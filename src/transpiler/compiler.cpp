@@ -132,29 +132,40 @@ compileCircuit(const circuit::Circuit &logical, const hw::CouplingMap &map,
     }
 #endif
 
-    if (options.peephole)
-        routed.physical = peepholeOptimize(routed.physical);
-
-    CompileResult result;
-    result.physical = routed.physical;
-    result.compiled = options.decompose_to_basis
-                          ? circuit::decomposeToBasis(routed.physical)
-                          : std::move(routed.physical);
-    if (options.peephole)
-        result.compiled = peepholeOptimize(result.compiled);
-    result.initial_layout = initial;
-    result.final_layout = routed.final_layout;
+    CompileResult result =
+        finishCompile(std::move(routed.physical), initial,
+                      routed.final_layout, routed.swap_count, options);
     if (!map.connected()) {
         result.status = CompileStatus::Degraded;
         result.diagnostics.push_back(
             "compiled on a fragmented device (" + map.name() + ")");
     }
+    result.report.compile_seconds = clock.seconds();
+    return result;
+}
+
+CompileResult
+finishCompile(circuit::Circuit physical, const Layout &initial,
+              const Layout &final_layout, int swap_count,
+              const CompileOptions &options)
+{
+    if (options.peephole)
+        physical = peepholeOptimize(physical);
+
+    CompileResult result;
+    result.physical = physical;
+    result.compiled = options.decompose_to_basis
+                          ? circuit::decomposeToBasis(physical)
+                          : std::move(physical);
+    if (options.peephole)
+        result.compiled = peepholeOptimize(result.compiled);
+    result.initial_layout = initial;
+    result.final_layout = final_layout;
     result.report.depth = result.compiled.depth();
     result.report.gate_count = result.compiled.gateCount();
     result.report.cx_count =
         result.compiled.countType(circuit::GateType::CNOT);
-    result.report.swap_count = routed.swap_count;
-    result.report.compile_seconds = clock.seconds();
+    result.report.swap_count = swap_count;
     return result;
 }
 

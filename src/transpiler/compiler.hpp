@@ -148,6 +148,22 @@ CompileResult compileCircuit(const circuit::Circuit &logical,
                              const Layout &initial,
                              const CompileOptions &options = {});
 
+/**
+ * The finishing policy every compile path shares: peephole (when
+ * options.peephole), basis translation (when
+ * options.decompose_to_basis), peephole again, then the §V-A report.
+ *
+ * @param physical      Routed circuit on physical qubits.
+ * @param initial       Layout before the first gate.
+ * @param final_layout  Layout after the last gate.
+ * @param swap_count    SWAPs the routing inserted.
+ * @return An Ok result without compile_seconds; the caller owns timing
+ *         and any status beyond Ok.
+ */
+CompileResult finishCompile(circuit::Circuit physical, const Layout &initial,
+                            const Layout &final_layout, int swap_count,
+                            const CompileOptions &options);
+
 } // namespace qaoa::transpiler
 
 #endif // QAOA_TRANSPILER_COMPILER_HPP
