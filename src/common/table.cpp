@@ -66,9 +66,24 @@ Table::print(std::ostream &os) const
 void
 Table::printCsv(std::ostream &os) const
 {
+    auto emit_cell = [&](const std::string &cell) {
+        if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+            os << cell;
+            return;
+        }
+        os << '"';
+        for (char ch : cell) {
+            if (ch == '"')
+                os << '"';
+            os << ch;
+        }
+        os << '"';
+    };
     auto emit_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            os << row[c] << (c + 1 == row.size() ? "\n" : ",");
+        for (std::size_t c = 0; c < row.size(); ++c) {
+            emit_cell(row[c]);
+            os << (c + 1 == row.size() ? "\n" : ",");
+        }
     };
     emit_row(headers_);
     for (const auto &row : rows_)

@@ -43,7 +43,9 @@ class Table
     /** Renders the table (header, rule, rows) to the stream. */
     void print(std::ostream &os) const;
 
-    /** Renders as comma-separated values (for scripting). */
+    /** Renders as comma-separated values (for scripting).  Per RFC
+     *  4180, a cell holding a comma, quote, CR or LF is quoted with its
+     *  inner quotes doubled, so every row has one field per column. */
     void printCsv(std::ostream &os) const;
 
     /** Number of data rows added so far. */

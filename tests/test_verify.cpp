@@ -121,10 +121,23 @@ TEST(VerifyReport, TableAndCsvRenderRuleIds)
               "QV003  mapping-mismatch  error     -     -      q4,q2   "
               "detail text\n"
               "verification: 1 error (QV003)\n");
+    // RFC 4180: the comma-bearing qubits cell is quoted, so the row has
+    // exactly one field per header column.
     EXPECT_EQ(csv.str(),
               "rule,name,severity,gate,layer,qubits,detail\n"
-              "QV003,mapping-mismatch,error,-,-,q4,q2,detail text\n"
+              "QV003,mapping-mismatch,error,-,-,\"q4,q2\",detail text\n"
               "verification: 1 error (QV003)\n");
+
+    // Inner quotes are doubled inside a quoted cell.
+    diag::Report quoted;
+    quoted.add(Rule::UnusedQubit, "qubit \"q7\" is idle");
+    std::ostringstream quoted_csv;
+    quoted.print(quoted_csv, "verification", /*csv=*/true);
+    EXPECT_EQ(quoted_csv.str(),
+              "rule,name,severity,gate,layer,qubits,detail\n"
+              "QV009,unused-qubit,warning,-,-,-,"
+              "\"qubit \"\"q7\"\" is idle\"\n"
+              "verification: 1 warning (QV009)\n");
 }
 
 TEST(GateLayers, AsapLayersMatchDepthSemantics)
