@@ -1,5 +1,6 @@
 #include "metrics/harness.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <numbers>
@@ -7,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/parallel.hpp"
-#include "graph/maxcut.hpp"
 #include "opt/checkpoint.hpp"
 #include "opt/grid_search.hpp"
 #include "qaoa/problem.hpp"
@@ -132,24 +132,66 @@ compileSeries(const std::vector<graph::Graph> &instances,
     return series;
 }
 
+QaoaEvaluator::QaoaEvaluator(const core::CostHamiltonian &cost,
+                             const run::RunGuard *guard)
+    : guard_(guard), state_(cost.num_qubits, guard),
+      cost_(core::costDiagonal(cost, guard))
+{
+    if (guard_)
+        guard_->checkAllocation("cost diagonal phases",
+                                sizeof(sim::Complex) *
+                                    cost_.values.size());
+    phases_.resize(cost_.values.size());
+}
+
+const sim::Statevector &
+QaoaEvaluator::evolve(const std::vector<double> &gammas,
+                      const std::vector<double> &betas)
+{
+    QAOA_CHECK(gammas.size() == betas.size(),
+               "need one (gamma, beta) pair per level; got "
+                   << gammas.size() << " gammas and " << betas.size()
+                   << " betas");
+    QAOA_CHECK(!gammas.empty(), "QAOA needs at least one level");
+    auto poll = [&] {
+        if (guard_)
+            guard_->poll("qaoa evaluator sweep");
+    };
+    poll();
+    state_.setUniform();
+    for (std::size_t level = 0; level < gammas.size(); ++level) {
+        for (std::size_t k = 0; k < phases_.size(); ++k) {
+            const double phi = gammas[level] * cost_.values[k];
+            phases_[k] = sim::Complex{std::cos(phi), std::sin(phi)};
+        }
+        poll();
+        state_.applyIndexedPhases(cost_.index, phases_);
+        for (int q = 0; q < state_.numQubits(); ++q) {
+            poll();
+            state_.apply(circuit::Gate::rx(q, 2.0 * betas[level]));
+        }
+    }
+    return state_;
+}
+
+double
+QaoaEvaluator::expectation(const std::vector<double> &gammas,
+                           const std::vector<double> &betas)
+{
+    evolve(gammas, betas);
+    if (guard_)
+        guard_->poll("qaoa evaluator sweep");
+    return state_.expectation(cost_);
+}
+
 double
 exactExpectedCut(const graph::Graph &problem,
                  const std::vector<double> &gammas,
                  const std::vector<double> &betas,
                  const run::RunGuard *guard)
 {
-    circuit::Circuit logical = core::buildQaoaCircuit(
-        problem, gammas, betas, /*measure=*/false);
-    sim::Statevector state(problem.numNodes(), guard);
-    state.apply(logical);
-    std::vector<double> probs = state.probabilities();
-    double expectation = 0.0;
-    for (std::size_t bits = 0; bits < probs.size(); ++bits)
-        if (probs[bits] > 0.0)
-            expectation += probs[bits] *
-                           graph::cutValue(problem,
-                                           static_cast<std::uint64_t>(bits));
-    return expectation;
+    return QaoaEvaluator(core::maxcutCost(problem), guard)
+        .expectation(gammas, betas);
 }
 
 P1Parameters
@@ -179,13 +221,6 @@ optimizeP1Checkpointed(const graph::Graph &problem,
                        const OptimizeP1Options &options)
 {
     constexpr double pi = std::numbers::pi;
-    // Maximize expected cut == minimize its negation.  CPHASE(γ) and the
-    // RX(2β) mixer make the landscape 2π-periodic in γ and π-periodic in
-    // β.
-    opt::Objective objective = [&](const std::vector<double> &x) {
-        return -exactExpectedCut(problem, {x[0]}, {x[1]},
-                                 options.guard);
-    };
     const std::vector<opt::GridAxis> axes{{0.0, 2.0 * pi, 13},
                                           {0.0, pi, 9}};
     const std::string hash = problemHash(problem);
@@ -203,6 +238,14 @@ optimizeP1Checkpointed(const graph::Graph &problem,
         cp = opt::OptCheckpoint{};
         cp.problem_hash = hash;
     }
+
+    // Maximize expected cut == minimize its negation.  CPHASE(γ) and the
+    // RX(2β) mixer make the landscape 2π-periodic in γ and π-periodic in
+    // β.  The cost diagonal is built once, for every evaluation.
+    QaoaEvaluator evaluator(core::maxcutCost(problem), options.guard);
+    opt::Objective objective = [&](const std::vector<double> &x) {
+        return -evaluator.expectation({x[0]}, {x[1]});
+    };
 
     auto save = [&]() {
         if (!options.checkpoint_path.empty())

@@ -12,10 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "common/guard.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "hardware/coupling_map.hpp"
 #include "qaoa/api.hpp"
+#include "qaoa/problem.hpp"
+#include "sim/statevector.hpp"
 
 namespace qaoa::metrics {
 
@@ -69,13 +72,53 @@ MetricSeries compileSeries(const std::vector<graph::Graph> &instances,
                            core::QaoaCompileOptions opts);
 
 /**
- * Exact (noiseless, infinite-shot) expected cut value of the level-p
- * QAOA circuit on the logical problem — computed from statevector
- * probabilities, no sampling error.
+ * Noiseless level-p QAOA of one cost Hamiltonian, evaluated on its
+ * precomputed cost diagonal.
  *
- * A non-null @p guard caps the statevector allocation
- * (max_statevector_bytes) and bounds cancellation latency to one gate
- * application.
+ * Construction builds θ(z), the cost layer's phase per unit γ
+ * (core::costDiagonal), once.  Each evolve() starts from |+...+>,
+ * applies exp(iγθ(z)) in one sweep per level (one sincos per distinct
+ * value of θ) and the mixer as n RX(2β) sweeps.  For maxcutCost(g),
+ * θ(z) is the cut value C(z), so expectation() is the expected cut.
+ * The state matches gate-by-gate simulation of buildQaoaCircuit(cost,
+ * ...) to rounding; Statevector::apply stays the simulator of compiled
+ * circuits.
+ *
+ * A non-null @p guard vets every buffer the evaluator holds against
+ * max_statevector_bytes before allocating it (the 16 B/amplitude state
+ * first, so a limit it exceeds throws before anything is allocated)
+ * and is polled once per sweep.  The guard is non-owning and must
+ * outlive the evaluator.
+ */
+class QaoaEvaluator
+{
+  public:
+    explicit QaoaEvaluator(const core::CostHamiltonian &cost,
+                           const run::RunGuard *guard = nullptr);
+
+    /** Runs the level-p circuit (one γ and one β per level) and returns
+     *  its final state. */
+    const sim::Statevector &evolve(const std::vector<double> &gammas,
+                                   const std::vector<double> &betas);
+
+    /** ⟨θ⟩ in the state evolve(gammas, betas) returns. */
+    double expectation(const std::vector<double> &gammas,
+                       const std::vector<double> &betas);
+
+  private:
+    const run::RunGuard *guard_;
+    sim::Statevector state_;
+    sim::DiagonalTable cost_;
+    std::vector<sim::Complex> phases_; ///< exp(iγ·value), per value.
+};
+
+/**
+ * Exact (noiseless, infinite-shot) expected cut value of the level-p
+ * QAOA circuit on the logical problem: one QaoaEvaluator run on
+ * maxcutCost(problem), no sampling error.
+ *
+ * A non-null @p guard caps the evaluator's allocations
+ * (max_statevector_bytes) and bounds cancellation latency to one sweep.
  */
 double exactExpectedCut(const graph::Graph &problem,
                         const std::vector<double> &gammas,

@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "common/guard.hpp"
 #include "graph/graph.hpp"
+#include "sim/statevector.hpp"
 
 namespace qaoa::core {
 
@@ -52,6 +54,25 @@ std::vector<ZZOp> costOperations(const graph::Graph &problem);
 /** The MaxCut cost layer: CPHASE(γ·w) per edge, zero-weight edges
  *  included, and no fields. */
 CostHamiltonian maxcutCost(const graph::Graph &problem);
+
+/**
+ * θ(z), the cost layer's phase per unit γ on basis state z: the level
+ * with angle γ multiplies amplitude z by exp(iγθ(z)), which is what its
+ * CPHASE(γ·w) and RZ(γ·h) gates do together.
+ *
+ *   θ(z) = Σ_{zz terms} w·[z_a ≠ z_b] + Σ_q z[q]·(z_q - 1/2)
+ *
+ * For maxcutCost(g) that is the cut value C(z).  Built in O(2^n·deg)
+ * with the lowest-set-bit recurrence θ(z) = θ(z') + Σ_{u ~ b} w·(1 -
+ * 2z_u) + z[b], where b is z's lowest set bit and z' = z without it.
+ * Stored as a per-state index into the distinct values.
+ *
+ * A non-null @p guard is polled once and vets each buffer (the θ
+ * scratch, the sorted values and the index) against
+ * max_statevector_bytes before any of them is allocated.
+ */
+sim::DiagonalTable costDiagonal(const CostHamiltonian &cost,
+                                const run::RunGuard *guard = nullptr);
 
 /**
  * Builds the logical level-p QAOA circuit of @p cost.

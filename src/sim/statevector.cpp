@@ -293,6 +293,53 @@ Statevector::apply(const circuit::Circuit &circuit)
     }
 }
 
+void
+Statevector::setUniform()
+{
+    const double a = 1.0 / std::sqrt(static_cast<double>(amps_.size()));
+    par::parallelFor(0, amps_.size(),
+                     [&](std::uint64_t b, std::uint64_t e) {
+        std::fill(amps_.begin() + static_cast<std::ptrdiff_t>(b),
+                  amps_.begin() + static_cast<std::ptrdiff_t>(e),
+                  Complex{a, 0.0});
+    });
+}
+
+void
+Statevector::applyIndexedPhases(const std::vector<std::uint32_t> &index,
+                                const std::vector<Complex> &phases)
+{
+    QAOA_CHECK(index.size() == amps_.size(),
+               "phase index has " << index.size() << " entries for "
+                                  << amps_.size() << " amplitudes");
+    double *v = reinterpret_cast<double *>(amps_.data());
+    const double *f = reinterpret_cast<const double *>(phases.data());
+    par::parallelFor(0, amps_.size(),
+                     [&](std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t i = b; i < e; ++i) {
+            const double *p = f + 2 * std::uint64_t{index[i]};
+            const double re = v[2 * i], im = v[2 * i + 1];
+            v[2 * i] = re * p[0] - im * p[1];
+            v[2 * i + 1] = re * p[1] + im * p[0];
+        }
+    });
+}
+
+double
+Statevector::expectation(const DiagonalTable &table) const
+{
+    QAOA_CHECK(table.index.size() == amps_.size(),
+               "diagonal has " << table.index.size() << " entries for "
+                               << amps_.size() << " amplitudes");
+    return par::parallelReduceSum(0, amps_.size(),
+                                  [&](std::uint64_t b, std::uint64_t e) {
+        double acc = 0.0;
+        for (std::uint64_t i = b; i < e; ++i)
+            acc += std::norm(amps_[i]) * table.values[table.index[i]];
+        return acc;
+    });
+}
+
 std::vector<double>
 Statevector::probabilities() const
 {

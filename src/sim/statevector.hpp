@@ -7,13 +7,19 @@
  * reach 24+).  This is the "qiskit simulator" stand-in used to obtain
  * the noiseless approximation ratio r0 of the ARG metric (§V-A).
  *
- * Gate application dispatches to specialized kernels (see apply()):
- * diagonal gates touch each amplitude exactly once with one multiply;
- * X/H/RX/CNOT/SWAP use dedicated pair kernels; everything else falls
- * back to the generic dense 2x2/4x4 matrix product.  All amplitude
- * sweeps run through qaoa::par::parallelFor, so large registers use
- * every core (QAOA_THREADS / par::setThreadCount) while results stay
- * bit-identical to the single-threaded path.
+ * Kernels:
+ *  - 1q/2q diagonal (Z/RZ/U1, CZ/CPHASE): one multiply per amplitude;
+ *  - pair kernels: X (swap), H and RX;
+ *  - permutations: CNOT, SWAP;
+ *  - generic dense 2x2/4x4 product (Y/RY/U2/U3, explicit matrices);
+ *  - indexed phase (applyIndexedPhases): amps[z] *= phases[index[z]],
+ *    a whole QAOA cost layer in one sweep when the phases come from a
+ *    DiagonalTable;
+ *  - setUniform() and the diagonal expectation() for the same path.
+ *
+ * Every amplitude sweep runs through qaoa::par::parallelFor, so large
+ * registers use every core (QAOA_THREADS / par::setThreadCount) while
+ * results stay bit-identical to the single-threaded path.
  */
 
 #ifndef QAOA_SIM_STATEVECTOR_HPP
@@ -32,6 +38,17 @@ namespace qaoa::sim {
 
 /** Counts of measured bitstrings (key = basis state index). */
 using Counts = std::map<std::uint64_t, std::uint64_t>;
+
+/**
+ * A real diagonal over the basis states, stored as a per-state index
+ * into its distinct values: a kernel that needs f(value) per basis
+ * state evaluates f once per distinct value, not once per amplitude.
+ */
+struct DiagonalTable
+{
+    std::vector<double> values;       ///< Distinct values, ascending.
+    std::vector<std::uint32_t> index; ///< Basis state -> slot in values.
+};
 
 /**
  * Dense complex statevector over n qubits.
@@ -72,6 +89,21 @@ class Statevector
 
     /** Applies every gate of a circuit in order. */
     void apply(const circuit::Circuit &circuit);
+
+    /** Resets to the uniform superposition |+...+> (H on |0...0>). */
+    void setUniform();
+
+    /**
+     * amps[z] *= phases[index[z]] for every basis state z: any diagonal
+     * unitary whose entries repeat, in one sweep.  @p index must hold
+     * one entry per amplitude, each below phases.size().
+     */
+    void applyIndexedPhases(const std::vector<std::uint32_t> &index,
+                            const std::vector<Complex> &phases);
+
+    /** Σ_z |amp_z|^2 · table(z): the expectation of a diagonal
+     *  observable, one ordered reduction. */
+    double expectation(const DiagonalTable &table) const;
 
     /** Applies an explicit 2x2 unitary to qubit @p q (generic path). */
     void applyMatrix1q(const Matrix2 &m, int q);

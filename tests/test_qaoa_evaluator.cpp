@@ -1,14 +1,16 @@
 /**
  * @file
- * Oracle tests for the noiseless QAOA evaluator behind
- * metrics::exactExpectedCut and metrics::optimizeP1.
+ * Oracle tests for the noiseless QAOA evaluator (metrics::QaoaEvaluator
+ * on core::costDiagonal) behind metrics::exactExpectedCut and
+ * metrics::optimizeP1.
  *
  * The oracle is the gate-by-gate simulation of the logical circuit:
  * Statevector::apply(buildQaoaCircuit(...)), then Σ_z p(z)·C(z) with
  * graph::cutValue.  The evaluator must match it across p = 1..3,
  * weighted graphs (zero and negative weights included) and registers
  * on both sides of par::kSerialCutoff, bit-identically at 1, 2 and 8
- * threads.  A second, independent anchor is the closed-form p = 1
+ * threads; on an Ising cost with fields the evolved states must agree.
+ * A second, independent anchor is the closed-form p = 1
  * MaxCut expectation of Wang, Hadfield, Jiang and Rieffel (PRA 97,
  * 022304, 2018), which reaches registers where the oracle is slow.
  */
@@ -18,9 +20,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <numbers>
+#include <string>
 #include <vector>
 
+#include "common/guard.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -132,6 +137,149 @@ TEST(QaoaEvaluator, BitIdenticalAcrossThreadCounts)
         EXPECT_EQ(values[0], values[1]) << "n=" << n;
         EXPECT_EQ(values[0], values[2]) << "n=" << n;
     }
+}
+
+/** Ising-form cost: the ZZ terms of a G(n, 0.4) draw with weights in
+ *  [-2, 2), and fields in [-1, 1) on every qubit but the last. */
+core::CostHamiltonian
+isingCost(int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    core::CostHamiltonian cost{n, {}, std::vector<double>(n, 0.0)};
+    const graph::Graph g = unweightedGraph(n, seed);
+    for (const graph::Edge &e : g.edges())
+        cost.zz.push_back({e.u, e.v, rng.uniformReal(-2.0, 2.0)});
+    for (int q = 0; q + 1 < n; ++q)
+        cost.z[static_cast<std::size_t>(q)] = rng.uniformReal(-1.0, 1.0);
+    return cost;
+}
+
+TEST(QaoaEvaluator, IsingStateMatchesGateByGateOracle)
+{
+    Rng rng(5150);
+    for (int n : {3, 6, 9, 12, 15}) {
+        const core::CostHamiltonian cost = isingCost(n, 700 + n);
+        QaoaEvaluator evaluator(cost);
+        for (int p = 1; p <= 3; ++p) {
+            const auto gammas = randomAngles(p, kPi, rng);
+            const auto betas = randomAngles(p, kPi / 2.0, rng);
+            const sim::Statevector &got = evaluator.evolve(gammas, betas);
+            sim::Statevector want(n);
+            want.apply(core::buildQaoaCircuit(cost, gammas, betas, false));
+            EXPECT_NEAR(got.overlap(want), 1.0, 1e-12)
+                << "n=" << n << " p=" << p;
+            // θ carries the RZ convention exactly, so not even a global
+            // phase separates the two.
+            double worst = 0.0;
+            for (std::uint64_t z = 0; z < (1ULL << n); ++z)
+                worst = std::max(worst, std::abs(got.amplitude(z) -
+                                                 want.amplitude(z)));
+            EXPECT_LT(worst, 1e-12) << "n=" << n << " p=" << p;
+        }
+    }
+}
+
+TEST(QaoaEvaluator, ReuseGivesTheBitsOfAFreshEvaluator)
+{
+    const core::CostHamiltonian cost = isingCost(11, 31);
+    QaoaEvaluator reused(cost);
+    (void)reused.expectation({0.4, -1.1}, {0.2, 0.9});
+    EXPECT_EQ(reused.expectation({0.7}, {-0.3}),
+              QaoaEvaluator(cost).expectation({0.7}, {-0.3}));
+}
+
+TEST(QaoaEvaluator, RejectsMismatchedAngles)
+{
+    QaoaEvaluator evaluator(core::maxcutCost(graph::cycleGraph(4)));
+    EXPECT_THROW(evaluator.expectation({0.1, 0.2}, {0.3}),
+                 std::runtime_error);
+    EXPECT_THROW(evaluator.expectation({}, {}), std::runtime_error);
+}
+
+TEST(CostDiagonal, IsTheCutValueForMaxcut)
+{
+    for (bool weighted : {false, true}) {
+        const graph::Graph g =
+            weighted ? weightedGraph(10, 12) : unweightedGraph(10, 12);
+        const sim::DiagonalTable table = core::costDiagonal(
+            core::maxcutCost(g));
+        ASSERT_EQ(table.index.size(), 1u << 10);
+        EXPECT_TRUE(std::adjacent_find(table.values.begin(),
+                                       table.values.end(),
+                                       std::greater_equal<double>()) ==
+                    table.values.end());
+        const double tol = weighted ? 1e-12 * absWeightSum(g) : 0.0;
+        for (std::uint64_t z = 0; z < table.index.size(); ++z)
+            EXPECT_NEAR(table.values[table.index[z]], graph::cutValue(g, z),
+                        tol)
+                << "z=" << z;
+        if (!weighted) {
+            EXPECT_LE(table.values.size(),
+                      static_cast<std::size_t>(g.numEdges()) + 1);
+        }
+    }
+}
+
+TEST(CostDiagonal, FieldsFollowTheRzConvention)
+{
+    // RZ(γh) = diag(e^{-iγh/2}, e^{iγh/2}): h·(z_q - 1/2) per field.
+    const core::CostHamiltonian cost = isingCost(9, 5);
+    const sim::DiagonalTable table = core::costDiagonal(cost);
+    for (std::uint64_t z = 0; z < table.index.size(); ++z) {
+        double want = 0.0;
+        for (const core::ZZOp &op : cost.zz)
+            if (((z >> op.a) ^ (z >> op.b)) & 1ULL)
+                want += op.weight;
+        for (std::size_t q = 0; q < cost.z.size(); ++q)
+            want += cost.z[q] * (((z >> q) & 1ULL) ? 0.5 : -0.5);
+        EXPECT_NEAR(table.values[table.index[z]], want, 1e-12) << z;
+    }
+}
+
+// ------------------------------------------------------ guard discipline
+
+TEST(QaoaEvaluator, TightAllocationLimitThrowsBeforeAllocating)
+{
+    const graph::Graph g = unweightedGraph(12, 3);
+    run::ResourceLimits limits;
+    limits.max_statevector_bytes = 16ULL * (1ULL << 12) - 1;
+    const run::RunGuard tight(run::CancelToken(), run::Deadline::never(),
+                              limits);
+    // The state is vetted first, so nothing was allocated when it throws.
+    try {
+        QaoaEvaluator evaluator(core::maxcutCost(g), &tight);
+        ADD_FAILURE() << "no ResourceExceededError";
+    } catch (const run::ResourceExceededError &e) {
+        EXPECT_NE(std::string(e.what()).find("statevector"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(exactExpectedCut(g, {0.3}, {0.2}, &tight),
+                 run::ResourceExceededError);
+    // Every other buffer is smaller than the state, so a limit the state
+    // fits under admits the whole evaluator.
+    limits.max_statevector_bytes = 16ULL * (1ULL << 12);
+    const run::RunGuard fits(run::CancelToken(), run::Deadline::never(),
+                             limits);
+    EXPECT_EQ(exactExpectedCut(g, {0.3}, {0.2}, &fits),
+              exactExpectedCut(g, {0.3}, {0.2}));
+}
+
+TEST(QaoaEvaluator, PollsOncePerSweep)
+{
+    // n = 6, p = 2: the table build, |+...+>, per level one phase sweep
+    // and six RX sweeps, and the final reduction: 1 + 1 + 2·7 + 1 = 17.
+    const graph::Graph g = unweightedGraph(6, 8);
+    auto run = [&](std::uint64_t fuse) {
+        run::CancelToken token;
+        token.cancelAfter(fuse);
+        const run::RunGuard guard(token, run::Deadline::never());
+        QaoaEvaluator evaluator(core::maxcutCost(g), &guard);
+        return evaluator.expectation({0.3, 0.9}, {0.2, -0.4});
+    };
+    for (std::uint64_t fuse : {0ULL, 1ULL, 2ULL, 9ULL, 16ULL})
+        EXPECT_THROW(run(fuse), run::CancelledError) << "fuse=" << fuse;
+    EXPECT_EQ(run(17), exactExpectedCut(g, {0.3, 0.9}, {0.2, -0.4}));
 }
 
 // ------------------------------------------------------ analytic anchor

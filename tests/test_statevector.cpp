@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "sim/statevector.hpp"
 
 namespace qaoa::sim {
@@ -253,6 +257,70 @@ TEST(RunAndSample, NoMeasureGatesReturnsRawBasisCounts)
     EXPECT_GT(counts[0b00], 0u);
     EXPECT_GT(counts[0b11], 0u);
     EXPECT_EQ(counts[0b00] + counts[0b11], 4000u);
+}
+
+/** A state with generic complex amplitudes (RY, RZ and CNOT layers). */
+Statevector
+genericState(int n, Rng &rng)
+{
+    Statevector s(n);
+    for (int layer = 0; layer < 2; ++layer) {
+        for (int q = 0; q < n; ++q) {
+            s.apply(Gate::ry(q, rng.uniformReal(0.1, 3.0)));
+            s.apply(Gate::rz(q, rng.uniformReal(0.1, 3.0)));
+        }
+        for (int q = 0; q + 1 < n; ++q)
+            s.apply(Gate::cnot(q, q + 1));
+    }
+    return s;
+}
+
+std::vector<Complex>
+amplitudes(const Statevector &s)
+{
+    std::vector<Complex> a(1ULL << s.numQubits());
+    for (std::uint64_t i = 0; i < a.size(); ++i)
+        a[i] = s.amplitude(i);
+    return a;
+}
+
+TEST(Statevector, UniformStateIsHadamardOnZero)
+{
+    Statevector h(7);
+    for (int q = 0; q < 7; ++q)
+        h.apply(Gate::h(q));
+    Statevector u(7);
+    u.apply(Gate::x(3));
+    u.setUniform();
+    for (std::uint64_t i = 0; i < 128; ++i)
+        EXPECT_NEAR(std::abs(u.amplitude(i) - h.amplitude(i)), 0.0, 1e-15);
+}
+
+TEST(Statevector, IndexedPhasesAndDiagonalExpectation)
+{
+    // Phase table {1, i, -1} indexed by popcount mod 3, then the
+    // expectation of the popcount.
+    Rng rng(9);
+    Statevector s = genericState(4, rng);
+    const std::vector<Complex> before = amplitudes(s);
+    DiagonalTable table;
+    table.values = {0.0, 1.0, 2.0, 3.0, 4.0};
+    std::vector<std::uint32_t> mod3(16);
+    for (std::uint64_t z = 0; z < 16; ++z) {
+        table.index.push_back(
+            static_cast<std::uint32_t>(std::popcount(z)));
+        mod3[z] = table.index.back() % 3;
+    }
+    const std::vector<Complex> phases{{1.0, 0.0}, {0.0, 1.0}, {-1.0, 0.0}};
+    s.applyIndexedPhases(mod3, phases);
+    double want = 0.0;
+    for (std::uint64_t z = 0; z < 16; ++z) {
+        EXPECT_NEAR(std::abs(s.amplitude(z) - before[z] * phases[mod3[z]]),
+                    0.0, 1e-15);
+        want += std::norm(before[z]) * std::popcount(z);
+    }
+    EXPECT_NEAR(s.expectation(table), want, 1e-14);
+    EXPECT_THROW(s.applyIndexedPhases({0, 1}, phases), std::runtime_error);
 }
 
 TEST(Statevector, RejectsBadSizes)
