@@ -34,6 +34,39 @@ expi(double phi)
     return {std::cos(phi), std::sin(phi)};
 }
 
+/**
+ * Runs pair(base) for every pair base (an index with @p bit clear; its
+ * partner is base | bit) of a @p size-amplitude register, in parallel
+ * chunks of the pair range.  From bit 4 up the bases come in contiguous
+ * runs of at least four, walked as plain loops the compiler can
+ * vectorize; below that each base is computed on its own.  Pairs are
+ * independent, so every split of the range gives the same bits.
+ */
+template <typename Pair>
+void
+forEachPair(std::uint64_t size, std::uint64_t bit, const Pair &pair)
+{
+    par::parallelFor(0, size >> 1,
+                     [&](std::uint64_t kb, std::uint64_t ke) {
+        // A local copy: stores through the amplitude pointer cannot
+        // alias it, so its coefficients stay in registers.
+        const Pair local = pair;
+        if (bit < 4) {
+            for (std::uint64_t k = kb; k < ke; ++k)
+                local(expandBit(k, bit));
+            return;
+        }
+        for (std::uint64_t k = kb; k < ke;) {
+            const std::uint64_t run =
+                std::min(bit - (k & (bit - 1)), ke - k);
+            const std::uint64_t i = expandBit(k, bit);
+            for (std::uint64_t j = i; j < i + run; ++j)
+                local(j);
+            k += run;
+        }
+    });
+}
+
 } // namespace
 
 Statevector::Statevector(int num_qubits, const run::RunGuard *guard)
@@ -145,40 +178,47 @@ Statevector::applyXKernel(int q)
     });
 }
 
+// The H and RX butterflies run on the interleaved (re, im) doubles:
+// std::complex multiplication would route every product through the
+// NaN-recovery path of the complex multiply.  Up to the sign of a zero,
+// they give the bits of the complex expressions they replace
+// (inv_sqrt2 * (a0 ± a1) and c * a0 + (-i s) * a1).
+
 void
 Statevector::applyHKernel(int q)
 {
     const std::uint64_t bit = 1ULL << q;
     const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
-    par::parallelFor(0, amps_.size() >> 1,
-                     [&](std::uint64_t kb, std::uint64_t ke) {
-        for (std::uint64_t k = kb; k < ke; ++k) {
-            std::uint64_t i = expandBit(k, bit);
-            std::uint64_t j = i | bit;
-            Complex a0 = amps_[i];
-            Complex a1 = amps_[j];
-            amps_[i] = inv_sqrt2 * (a0 + a1);
-            amps_[j] = inv_sqrt2 * (a0 - a1);
-        }
+    double *v = reinterpret_cast<double *>(amps_.data());
+    const std::uint64_t off = 2 * bit;
+    forEachPair(amps_.size(), bit, [=](std::uint64_t base) {
+        const std::uint64_t i = 2 * base; // re of the base, im at i + 1
+        const double r0 = v[i], i0 = v[i + 1];
+        const double r1 = v[i + off], i1 = v[i + off + 1];
+        v[i] = inv_sqrt2 * (r0 + r1);
+        v[i + 1] = inv_sqrt2 * (i0 + i1);
+        v[i + off] = inv_sqrt2 * (r0 - r1);
+        v[i + off + 1] = inv_sqrt2 * (i0 - i1);
     });
 }
 
 void
 Statevector::applyRXKernel(int q, double theta)
 {
+    // RX(θ) = [[c, -i s], [-i s, c]] with c = cos(θ/2), s = sin(θ/2).
     const std::uint64_t bit = 1ULL << q;
     const double c = std::cos(theta / 2.0);
-    const Complex mis{0.0, -std::sin(theta / 2.0)};
-    par::parallelFor(0, amps_.size() >> 1,
-                     [&](std::uint64_t kb, std::uint64_t ke) {
-        for (std::uint64_t k = kb; k < ke; ++k) {
-            std::uint64_t i = expandBit(k, bit);
-            std::uint64_t j = i | bit;
-            Complex a0 = amps_[i];
-            Complex a1 = amps_[j];
-            amps_[i] = c * a0 + mis * a1;
-            amps_[j] = mis * a0 + c * a1;
-        }
+    const double s = std::sin(theta / 2.0);
+    double *v = reinterpret_cast<double *>(amps_.data());
+    const std::uint64_t off = 2 * bit;
+    forEachPair(amps_.size(), bit, [=](std::uint64_t base) {
+        const std::uint64_t i = 2 * base; // re of the base, im at i + 1
+        const double r0 = v[i], i0 = v[i + 1];
+        const double r1 = v[i + off], i1 = v[i + off + 1];
+        v[i] = c * r0 + s * i1;
+        v[i + 1] = c * i0 - s * r1;
+        v[i + off] = c * r1 + s * i0;
+        v[i + off + 1] = c * i1 - s * r0;
     });
 }
 

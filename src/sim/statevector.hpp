@@ -9,7 +9,7 @@
  *
  * Kernels:
  *  - 1q/2q diagonal (Z/RZ/U1, CZ/CPHASE): one multiply per amplitude;
- *  - pair kernels: X (swap), H and RX;
+ *  - pair kernels: X (swap), H and RX (real-arithmetic butterflies);
  *  - permutations: CNOT, SWAP;
  *  - generic dense 2x2/4x4 product (Y/RY/U2/U3, explicit matrices);
  *  - indexed phase (applyIndexedPhases): amps[z] *= phases[index[z]],

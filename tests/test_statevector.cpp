@@ -284,6 +284,58 @@ amplitudes(const Statevector &s)
     return a;
 }
 
+/** Bit equality of finite values; == already equates +0 and -0. */
+void
+expectSameBits(const std::vector<Complex> &want, const Statevector &got,
+               int q)
+{
+    for (std::uint64_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(want[i].real(), got.amplitude(i).real())
+            << "q=" << q << " i=" << i;
+        ASSERT_EQ(want[i].imag(), got.amplitude(i).imag())
+            << "q=" << q << " i=" << i;
+    }
+}
+
+TEST(Statevector, RealArithmeticPairKernelsKeepTheComplexBits)
+{
+    // The H and RX kernels run on (re, im) doubles; they must give the
+    // bits of the complex-arithmetic butterflies, on registers on both
+    // sides of par::kSerialCutoff.
+    Rng rng(1234);
+    for (int n : {5, 15}) {
+        Statevector s = genericState(n, rng);
+        for (int q = 0; q < n; ++q) {
+            const double theta = rng.uniformReal(-6.0, 6.0);
+            const double c = std::cos(theta / 2.0);
+            const Complex mis{0.0, -std::sin(theta / 2.0)};
+            std::vector<Complex> want = amplitudes(s);
+            const std::uint64_t bit = 1ULL << q;
+            for (std::uint64_t i = 0; i < want.size(); ++i) {
+                if (i & bit)
+                    continue;
+                const Complex a0 = want[i], a1 = want[i | bit];
+                want[i] = c * a0 + mis * a1;
+                want[i | bit] = mis * a0 + c * a1;
+            }
+            s.apply(Gate::rx(q, theta));
+            expectSameBits(want, s, q);
+
+            const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
+            want = amplitudes(s);
+            for (std::uint64_t i = 0; i < want.size(); ++i) {
+                if (i & bit)
+                    continue;
+                const Complex a0 = want[i], a1 = want[i | bit];
+                want[i] = inv_sqrt2 * (a0 + a1);
+                want[i | bit] = inv_sqrt2 * (a0 - a1);
+            }
+            s.apply(Gate::h(q));
+            expectSameBits(want, s, q);
+        }
+    }
+}
+
 TEST(Statevector, UniformStateIsHadamardOnZero)
 {
     Statevector h(7);
