@@ -20,7 +20,6 @@ icCompileCostLayer(const std::vector<ZZOp> &ops, const hw::CouplingMap &map,
     IncrementalResult result;
     result.physical = circuit::Circuit(map.numQubits());
     result.final_layout = initial;
-    result.gamma = gamma;
 
     const int num_logical = initial.numLogical();
     std::vector<ZZOp> remaining = ops;

@@ -62,7 +62,6 @@ struct IncrementalResult
     transpiler::Layout final_layout;   ///< Mapping after the last layer.
     int swap_count = 0;                ///< SWAPs inserted in total.
     int layer_count = 0;               ///< CPHASE layers formed.
-    double gamma = 0.0;                ///< Angle the CPHASEs carry.
 };
 
 /**
