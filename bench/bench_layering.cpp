@@ -14,7 +14,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "circuit/commutation.hpp"
 #include "circuit/layers.hpp"
 #include "common/stats.hpp"
 #include "common/stopwatch.hpp"
@@ -23,6 +22,7 @@
 #include "qaoa/ip.hpp"
 #include "qaoa/problem.hpp"
 #include "qaoa/profile_stats.hpp"
+#include "sim/commutation.hpp"
 
 int
 main(int argc, char **argv)
@@ -54,7 +54,7 @@ main(int argc, char **argv)
             circuit::Circuit c(20);
             for (const auto &op : ops)
                 c.add(circuit::Gate::cphase(op.a, op.b, 0.5));
-            ca_layers.add(circuit::commutationAwareLayerCount(c));
+            ca_layers.add(sim::commutationAwareLayerCount(c));
             plain_layers.add(circuit::layerCount(c));
         }
         table.addRow({Table::num(static_cast<long long>(k)),

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Project-invariant linter: concurrency, persistence and error-path
-rules (QS00x / QE10x).
+"""Project-invariant linter: concurrency, persistence, library-layout
+and error-path rules (QS00x / QE10x).
 
 The QAOA serving stack is proved race-free by three complementary
 layers: clang's thread-safety analysis (static, per-translation-unit),
@@ -46,6 +46,12 @@ Rules (see DESIGN.md §13/§14 for the catalogue with rationale):
          fsync-dir-after contract and fs::renameFile is the one
          sanctioned move — a stray rename elsewhere silently skips
          both the temp-file discipline and the failpoint coverage.
+  QS008  Every source inside an add_library(qaoa_<x> ...) block of
+         src/CMakeLists.txt sits under that library's directory
+         (<x>/, except qaoa_core -> qaoa/).  A file compiled into a
+         foreign library hides a dependency edge from the library
+         graph; move the file instead.  (CMake text, so no inline
+         waiver applies.)
   QE101  No empty catch bodies anywhere (src, tools, tests, bench).
          A body that is empty once comments are stripped swallows the
          exception; comments do not excuse it — a deliberate swallow
@@ -187,6 +193,7 @@ SCANNER_RULES = {
     "QE105": "tool main() not wrapped in qaoa::toolMain()",
     "QE106": "failpoint name not registered exactly once",
     "QS006": "source file absent from the compilation database",
+    "QS008": "library source outside the library's directory",
 }
 
 ALLOW_RE = re.compile(r"q[se]-allow\(\s*(Q[SE]\d{3})\s*\)")
@@ -647,6 +654,42 @@ def check_failpoint_registry(cache, verbose, repo):
     return violations
 
 
+LIBRARY_CMAKE = "src/CMakeLists.txt"
+ADD_LIBRARY_RE = re.compile(r"\badd_library\(\s*qaoa_(\w+)(.*?)\)", re.S)
+LIBRARY_KEYWORDS = {"STATIC", "SHARED", "OBJECT", "INTERFACE"}
+# Libraries not named after their directory.
+LIBRARY_DIRS = {"core": "qaoa"}
+
+
+def check_library_dirs(verbose, repo):
+    """QS008: qaoa_<x> compiles only sources under src/<x>/."""
+    path = os.path.join(repo, LIBRARY_CMAKE)
+    if not os.path.isfile(path):
+        return []
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        # Blank `#` comments so a path they mention is not a source.
+        code = re.sub(r"#[^\n]*", "", fh.read())
+    violations = []
+    for block in ADD_LIBRARY_RE.finditer(code):
+        home = LIBRARY_DIRS.get(block.group(1), block.group(1)) + "/"
+        for src in re.finditer(r"\S+", block.group(2)):
+            token = src.group(0)
+            if token in LIBRARY_KEYWORDS or token.startswith(home):
+                continue
+            violations.append(
+                (
+                    "QS008",
+                    LIBRARY_CMAKE,
+                    line_of(code, block.start(2) + src.start()),
+                    SCANNER_RULES["QS008"],
+                    f"qaoa_{block.group(1)} compiles {token}",
+                )
+            )
+        if verbose:
+            print(f"  checked qaoa_{block.group(1)} sources")
+    return violations
+
+
 def check_compile_commands(db_path, verbose, repo):
     """QS006: every src/tools .cpp must be in the compilation database."""
     with open(db_path, encoding="utf-8") as fh:
@@ -684,6 +727,7 @@ def run_checks(repo, verbose=False, compile_commands=None):
     violations += check_noexcept_throws(cache, verbose, repo)
     violations += check_tool_mains(cache, verbose, repo)
     violations += check_failpoint_registry(cache, verbose, repo)
+    violations += check_library_dirs(verbose, repo)
     notes = []
 
     db_path = compile_commands
@@ -735,6 +779,7 @@ def main():
         catalogue["QE105"] = (SCANNER_RULES["QE105"], "tools")
         catalogue["QE106"] = (SCANNER_RULES["QE106"], "src, tools")
         catalogue["QS006"] = (SCANNER_RULES["QS006"], "src, tools")
+        catalogue["QS008"] = (SCANNER_RULES["QS008"], LIBRARY_CMAKE)
         for rule_id in sorted(catalogue):
             summary, scope = catalogue[rule_id]
             print(f"{rule_id}  {summary}  [scope: {scope}]")
@@ -763,7 +808,7 @@ def main():
     print(
         f"check_invariants: {len(violations)} violation(s); suppress a "
         "deliberate exception with a qs-allow(QS00x) / qe-allow(QE10x) "
-        "comment explaining why"
+        "comment explaining why (QS008 takes none: move the file)"
     )
     return 1
 

@@ -448,6 +448,35 @@ class TestTextParsingRule(LinterTestCase):
         self.assertQuiet("QE107")
 
 
+class TestLibraryLayoutRule(LinterTestCase):
+    def test_qs008_foreign_source_fires(self):
+        self.tree.write(
+            "src/CMakeLists.txt",
+            "add_library(qaoa_sim STATIC\n"
+            "    sim/statevector.cpp\n"
+            "    circuit/commutation.cpp)\n",
+        )
+        found = [v for v in self.violations() if v[0] == "QS008"]
+        self.assertEqual(len(found), 1)
+        self.assertEqual(found[0][1:3], ("src/CMakeLists.txt", 3))
+        self.assertIn("circuit/commutation.cpp", found[0][4])
+
+    def test_qs008_own_directory_is_quiet(self):
+        # qaoa_core maps to qaoa/; comments and executables are not
+        # library sources.
+        self.tree.write(
+            "src/CMakeLists.txt",
+            "# circuit/gate.cpp named in a comment is no source\n"
+            "add_library(qaoa_core STATIC\n"
+            "    qaoa/api.cpp)\n"
+            "add_library(qaoa_sim STATIC\n"
+            "    # sim/ only\n"
+            "    sim/commutation.cpp)\n"
+            "add_executable(qaoa_compile ../tools/qaoa_compile.cpp)\n",
+        )
+        self.assertQuiet("QS008")
+
+
 class TestStripping(LinterTestCase):
     def test_token_in_line_comment_is_ignored(self):
         self.tree.write("src/a.cpp", "// std::mutex would be wrong here\n")

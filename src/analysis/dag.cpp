@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "circuit/layers.hpp"
 #include "common/error.hpp"
 
 namespace qaoa::analysis {
@@ -18,12 +19,11 @@ CircuitDag::CircuitDag(const circuit::Circuit &circuit)
     succs_.assign(n_gates, {});
     qubit_gates_.assign(n_qubits, {});
     chain_pos_.assign(n_gates, {-1, -1});
-    layer_.assign(n_gates, -1);
+    layer_ = circuit::gateLayers(circuit);
 
     // last_event[q]: most recent gate (BARRIERs included) touching q —
-    // drives the dependency edges.  ready[q]: earliest free ASAP layer.
+    // drives the dependency edges.
     std::vector<int> last_event(n_qubits, -1);
-    std::vector<int> ready(n_qubits, 0);
 
     auto link = [&](int from, int to) {
         auto &s = succs_[static_cast<std::size_t>(from)];
@@ -38,14 +38,12 @@ CircuitDag::CircuitDag(const circuit::Circuit &circuit)
         const circuit::Gate &g = gates[gi];
         const int i = static_cast<int>(gi);
         if (g.type == circuit::GateType::BARRIER) {
-            int frontier = 0;
+            layer_[gi] = -1;
             for (std::size_t q = 0; q < n_qubits; ++q) {
                 if (last_event[q] >= 0)
                     link(last_event[q], i);
                 last_event[q] = i;
-                frontier = std::max(frontier, ready[q]);
             }
-            std::fill(ready.begin(), ready.end(), frontier);
             continue;
         }
         const int q0 = g.q0;
@@ -61,14 +59,7 @@ CircuitDag::CircuitDag(const circuit::Circuit &circuit)
                 static_cast<int>(qubit_gates_[qi].size());
             qubit_gates_[qi].push_back(i);
         }
-        int slot = ready[static_cast<std::size_t>(q0)];
-        if (q1 >= 0)
-            slot = std::max(slot, ready[static_cast<std::size_t>(q1)]);
-        layer_[gi] = slot;
-        layer_count_ = std::max(layer_count_, slot + 1);
-        ready[static_cast<std::size_t>(q0)] = slot + 1;
-        if (q1 >= 0)
-            ready[static_cast<std::size_t>(q1)] = slot + 1;
+        layer_count_ = std::max(layer_count_, layer_[gi] + 1);
     }
 }
 

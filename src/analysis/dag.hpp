@@ -62,7 +62,7 @@ class CircuitDag
     /** Index of the previous non-BARRIER gate on @p q, or -1. */
     int prevOnQubit(int gi, int q) const;
 
-    /** ASAP layer of every gate; BARRIERs get -1 (they occupy none). */
+    /** circuit::gateLayers(), with -1 for BARRIERs (they occupy none). */
     const std::vector<int> &layers() const { return layer_; }
 
     /** ASAP layer of gate @p gi (-1 for BARRIER). */

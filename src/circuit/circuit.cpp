@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "circuit/layers.hpp"
 #include "common/error.hpp"
 
 namespace qaoa::circuit {
@@ -80,27 +81,12 @@ Circuit::opCounts() const
 int
 Circuit::depth() const
 {
-    std::vector<int> level(static_cast<std::size_t>(num_qubits_), 0);
-    int max_level = 0;
-    for (const Gate &g : gates_) {
-        if (g.type == GateType::BARRIER) {
-            // Synchronize: every qubit advances to the current frontier.
-            int frontier = 0;
-            for (int l : level)
-                frontier = std::max(frontier, l);
-            std::fill(level.begin(), level.end(), frontier);
-            continue;
-        }
-        int start = level[static_cast<std::size_t>(g.q0)];
-        if (g.arity() == 2)
-            start = std::max(start, level[static_cast<std::size_t>(g.q1)]);
-        int finish = start + 1;
-        level[static_cast<std::size_t>(g.q0)] = finish;
-        if (g.arity() == 2)
-            level[static_cast<std::size_t>(g.q1)] = finish;
-        max_level = std::max(max_level, finish);
-    }
-    return max_level;
+    const std::vector<int> layers = gateLayers(*this);
+    int depth = 0;
+    for (std::size_t gi = 0; gi < gates_.size(); ++gi)
+        if (gates_[gi].type != GateType::BARRIER)
+            depth = std::max(depth, layers[gi] + 1);
+    return depth;
 }
 
 std::string

@@ -64,7 +64,8 @@ class Circuit
      *
      * Each gate (including MEASURE) occupies one time step on every qubit
      * it touches; BARRIER synchronizes all qubits without consuming a
-     * step.  Matches the §V-A definition used for all reported numbers.
+     * step.  Matches the §V-A definition used for all reported numbers:
+     * the deepest non-BARRIER layer of circuit::gateLayers(), plus one.
      */
     int depth() const;
 

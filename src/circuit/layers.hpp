@@ -18,18 +18,28 @@
 namespace qaoa::circuit {
 
 /**
- * Greedy ASAP (as-soon-as-possible) layering.
+ * ASAP (as-soon-as-possible) layer of every gate — the one schedule
+ * behind Circuit::depth(), asapLayers(), the analysis CircuitDag and the
+ * verifier's diagnostic locations.
  *
  * Each gate is placed in the earliest layer after the layers of all gates
- * it depends on (shares a qubit with).  BARRIERs close all open layers and
- * are not emitted themselves.
+ * it depends on (shares a qubit with).  A BARRIER advances every qubit to
+ * the next free layer, occupies no layer itself, and is reported at the
+ * layer it opens (the first layer after everything before it).
+ *
+ * @return One layer per entry of circuit.gates().
+ */
+std::vector<int> gateLayers(const Circuit &circuit);
+
+/**
+ * Greedy ASAP layering: gateLayers() grouped by layer, BARRIERs left out.
  *
  * @return Layers in time order; each layer holds indices into
  *         circuit.gates().
  */
 std::vector<std::vector<std::size_t>> asapLayers(const Circuit &circuit);
 
-/** Number of ASAP layers (equals asapLayers(c).size()). */
+/** Number of ASAP layers (equals asapLayers(c).size() and c.depth()). */
 int layerCount(const Circuit &circuit);
 
 /**

@@ -247,46 +247,23 @@ optimizeP1Checkpointed(const graph::Graph &problem,
         return -evaluator.expectation({x[0]}, {x[1]});
     };
 
-    auto save = [&]() {
+    opt::OptHooks hooks;
+    hooks.guard = options.guard;
+    hooks.on_progress = [&]() {
         if (!options.checkpoint_path.empty())
             opt::saveCheckpointFile(options.checkpoint_path, cp);
     };
-    opt::OptHooks hooks;
-    hooks.guard = options.guard;
-    hooks.on_progress = save;
+    const opt::OptResult best =
+        opt::gridThenNelderMeadResume(objective, axes, {}, cp, hooks);
 
-    // Same sequence as opt::gridThenNelderMead(), phase by phase, so
-    // an unguarded, checkpoint-free run is arithmetically identical to
-    // optimizeP1()'s historical behavior.
-    if (cp.phase == opt::OptPhase::Grid) {
-        opt::gridSearchResume(objective, axes, cp.grid, hooks);
-        cp.phase = opt::OptPhase::Nm;
-        save();
-    }
-    if (cp.phase == opt::OptPhase::Nm) {
-        opt::OptResult refined = opt::nelderMeadResume(
-            objective, cp.grid.best_x, {}, cp.nm, hooks);
-        refined.evaluations += cp.grid.evaluations;
-        if (cp.grid.best_value < refined.value) {
-            // Guard against a pathological refinement step.
-            refined.x = cp.grid.best_x;
-            refined.value = cp.grid.best_value;
-        }
-        cp.final_x = refined.x;
-        cp.final_value = refined.value;
-        cp.final_evaluations = refined.evaluations;
-        cp.phase = opt::OptPhase::Done;
-        save();
-    }
-
-    QAOA_CHECK(cp.final_x.size() == 2,
-               "p=1 checkpoint finished with " << cp.final_x.size()
+    QAOA_CHECK(best.x.size() == 2,
+               "p=1 checkpoint finished with " << best.x.size()
                                                << " parameters");
     P1Run run;
-    run.params.gamma = cp.final_x[0];
-    run.params.beta = cp.final_x[1];
-    run.params.expected_cut = -cp.final_value;
-    run.evaluations = cp.final_evaluations;
+    run.params.gamma = best.x[0];
+    run.params.beta = best.x[1];
+    run.params.expected_cut = -best.value;
+    run.evaluations = best.evaluations;
     run.resumed = resumed;
     return run;
 }

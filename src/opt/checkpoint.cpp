@@ -29,6 +29,45 @@ optPhaseName(OptPhase phase)
     return {};
 }
 
+OptResult
+gridThenNelderMeadResume(const Objective &f,
+                         const std::vector<GridAxis> &axes,
+                         const NelderMeadOptions &nm,
+                         OptCheckpoint &checkpoint, const OptHooks &hooks)
+{
+    if (checkpoint.phase == OptPhase::Grid) {
+        gridSearchResume(f, axes, checkpoint.grid, hooks);
+        checkpoint.phase = OptPhase::Nm;
+        if (hooks.on_progress)
+            hooks.on_progress();
+    }
+    const GridSearchState &seed = checkpoint.grid;
+    if (checkpoint.phase == OptPhase::Nm) {
+        OptResult refined =
+            nelderMeadResume(f, seed.best_x, nm, checkpoint.nm, hooks);
+        if (seed.best_value < refined.value) {
+            // Guard against a pathological refinement step.
+            refined.x = seed.best_x;
+            refined.value = seed.best_value;
+        }
+        checkpoint.final_x = refined.x;
+        checkpoint.final_value = refined.value;
+        checkpoint.final_evaluations =
+            refined.evaluations + seed.evaluations;
+        checkpoint.phase = OptPhase::Done;
+        if (hooks.on_progress)
+            hooks.on_progress();
+    }
+
+    OptResult result;
+    result.x = checkpoint.final_x;
+    result.value = checkpoint.final_value;
+    result.iterations = checkpoint.nm.iterations;
+    result.evaluations = checkpoint.final_evaluations;
+    result.converged = checkpoint.nm.converged;
+    return result;
+}
+
 std::string
 serializeCheckpoint(const OptCheckpoint &checkpoint)
 {

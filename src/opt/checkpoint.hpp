@@ -64,6 +64,22 @@ struct OptCheckpoint
     int final_evaluations = 0;
 };
 
+/**
+ * Resumable core of gridThenNelderMead(): continues the grid sweep, the
+ * Nelder–Mead refinement of its winner and the guard against a worse
+ * refinement from @p checkpoint (fresh or restored), leaving it Done.
+ * hooks.on_progress fires after every committed step and at each phase
+ * change; saving there makes a killed run resume bit-identically.
+ *
+ * @throws run::CancelledError / run::TimedOutError from the hook guard;
+ *         @p checkpoint then holds the last committed step.
+ */
+OptResult gridThenNelderMeadResume(const Objective &f,
+                                   const std::vector<GridAxis> &axes,
+                                   const NelderMeadOptions &nm,
+                                   OptCheckpoint &checkpoint,
+                                   const OptHooks &hooks = {});
+
 /** Serializes to the flat-JSON checkpoint format. */
 [[nodiscard]] std::string serializeCheckpoint(const OptCheckpoint &checkpoint);
 

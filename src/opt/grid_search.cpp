@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "opt/checkpoint.hpp"
 
 namespace qaoa::opt {
 
@@ -73,15 +74,8 @@ OptResult
 gridThenNelderMead(const Objective &f, const std::vector<GridAxis> &axes,
                    const NelderMeadOptions &nm)
 {
-    OptResult seed = gridSearch(f, axes);
-    OptResult refined = nelderMead(f, seed.x, nm);
-    refined.evaluations += seed.evaluations;
-    if (seed.value < refined.value) {
-        // Guard against a pathological refinement step.
-        refined.x = seed.x;
-        refined.value = seed.value;
-    }
-    return refined;
+    OptCheckpoint checkpoint;
+    return gridThenNelderMeadResume(f, axes, nm, checkpoint);
 }
 
 } // namespace qaoa::opt

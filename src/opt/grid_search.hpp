@@ -63,7 +63,8 @@ OptResult gridSearchResume(const Objective &f,
 
 /**
  * Grid seed + Nelder–Mead refinement: runs gridSearch(), then polishes
- * the winner with nelderMead().
+ * the winner with nelderMead() (opt/checkpoint's
+ * gridThenNelderMeadResume() on a fresh checkpoint).
  */
 OptResult gridThenNelderMead(const Objective &f,
                              const std::vector<GridAxis> &axes,

@@ -9,8 +9,9 @@
 #include <tuple>
 #include <utility>
 
-#include "circuit/commutation.hpp"
 #include "circuit/gate.hpp"
+#include "circuit/layers.hpp"
+#include "sim/commutation.hpp"
 #include "common/error.hpp"
 
 namespace qaoa::verify {
@@ -158,42 +159,6 @@ struct Walker
 
 } // namespace
 
-std::vector<int>
-gateLayers(const Circuit &circuit)
-{
-    std::vector<int> frontier(
-        static_cast<std::size_t>(circuit.numQubits()), 0);
-    std::vector<int> layers;
-    layers.reserve(circuit.gates().size());
-    int barrier_level = 0;
-    for (const Gate &g : circuit.gates()) {
-        if (g.type == GateType::BARRIER) {
-            int level = barrier_level;
-            for (int f : frontier)
-                level = std::max(level, f);
-            barrier_level = level;
-            std::fill(frontier.begin(), frontier.end(), level);
-            layers.push_back(level);
-            continue;
-        }
-        int level = barrier_level;
-        level = std::max(level, frontier[static_cast<std::size_t>(
-                                    std::clamp(g.q0, 0,
-                                               circuit.numQubits() - 1))]);
-        if (g.arity() == 2)
-            level = std::max(
-                level, frontier[static_cast<std::size_t>(std::clamp(
-                           g.q1, 0, circuit.numQubits() - 1))]);
-        layers.push_back(level);
-        frontier[static_cast<std::size_t>(
-            std::clamp(g.q0, 0, circuit.numQubits() - 1))] = level + 1;
-        if (g.arity() == 2)
-            frontier[static_cast<std::size_t>(
-                std::clamp(g.q1, 0, circuit.numQubits() - 1))] = level + 1;
-    }
-    return layers;
-}
-
 ReplayResult
 replayToLogical(const Circuit &physical,
                 const std::vector<int> &initial_log_to_phys,
@@ -215,7 +180,7 @@ replayToLogical(const Circuit &physical,
         phys_to_log[static_cast<std::size_t>(p)] = l;
     }
 
-    const std::vector<int> layers = gateLayers(physical);
+    const std::vector<int> layers = circuit::gateLayers(physical);
     Walker walker{physical, layers, report, std::move(phys_to_log),
                   std::vector<char>(static_cast<std::size_t>(num_physical),
                                     0)};
@@ -472,7 +437,7 @@ diag::Report
 verifyCircuit(const Circuit &physical, const VerifySpec &spec)
 {
     diag::Report report;
-    const std::vector<int> layers = gateLayers(physical);
+    const std::vector<int> layers = circuit::gateLayers(physical);
 
     checkHardwareConformance(physical, spec, layers, report);
 
@@ -644,7 +609,7 @@ checkReorder(const Circuit &reference, const Circuit &observed,
         for (std::size_t j = i + 1; j < obs.size(); ++j) {
             if (perm[j] < 0 || perm[i] < perm[j])
                 continue;
-            if (!circuit::gatesCommute(*obs[i], *obs[j]))
+            if (!sim::gatesCommute(*obs[i], *obs[j]))
                 report.add(Rule::NonCommutingReorder, static_cast<int>(j),
                            -1, obs[j]->q0, obs[j]->q1,
                            "'" + obs[i]->toString() + "' and '" +

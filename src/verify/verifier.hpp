@@ -166,17 +166,13 @@ verifyRouted(const circuit::Circuit &logical,
  *
  * Both circuits must hold the same gate multiset (mismatches surface as
  * QV004/QV005).  Every pair of gates whose relative order differs
- * between the two sequences must commute (circuit/commutation's exact
+ * between the two sequences must commute (sim/commutation's exact
  * rules with numeric fallback); a non-commuting exchanged pair is a
  * QV010 error.  O(n²) pairwise in the worst case — intended for tests
  * and spot audits, not the hot compile path.  BARRIERs are ignored.
  */
 void checkReorder(const circuit::Circuit &reference,
                   const circuit::Circuit &observed, diag::Report &report);
-
-/** ASAP layer of every gate (BARRIER advances all qubits, occupies no
- *  layer and gets the layer it closes); used for diagnostic locations. */
-[[nodiscard]] std::vector<int> gateLayers(const circuit::Circuit &circuit);
 
 } // namespace qaoa::verify
 

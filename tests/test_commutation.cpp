@@ -5,16 +5,21 @@
 
 #include <gtest/gtest.h>
 
-#include "circuit/commutation.hpp"
 #include "circuit/layers.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "qaoa/problem.hpp"
 #include "qaoa/profile_stats.hpp"
+#include "sim/commutation.hpp"
 #include "test_util.hpp"
 
-namespace qaoa::circuit {
+namespace qaoa::sim {
 namespace {
+
+using circuit::Circuit;
+using circuit::Gate;
+using circuit::GateType;
+using circuit::layerCount;
 
 TEST(Commutation, DisjointGatesAlwaysCommute)
 {
@@ -180,4 +185,4 @@ TEST(CommutationLayers, BarriersRespected)
 }
 
 } // namespace
-} // namespace qaoa::circuit
+} // namespace qaoa::sim

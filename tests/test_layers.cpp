@@ -161,10 +161,47 @@ TEST(AsapLayers, GatesScheduleAfterTheirOperandsSeeded)
     }
 }
 
+TEST(GateLayers, AsapLayersMatchDepthSemantics)
+{
+    Circuit c(3);
+    c.add(Gate::h(0));          // layer 0
+    c.add(Gate::h(1));          // layer 0
+    c.add(Gate::cnot(0, 1));    // layer 1
+    c.add(Gate::h(2));          // layer 0
+    c.add(Gate::cnot(1, 2));    // layer 2
+    std::vector<int> layers = gateLayers(c);
+    ASSERT_EQ(layers.size(), 5u);
+    EXPECT_EQ(layers[0], 0);
+    EXPECT_EQ(layers[1], 0);
+    EXPECT_EQ(layers[2], 1);
+    EXPECT_EQ(layers[3], 0);
+    EXPECT_EQ(layers[4], 2);
+
+    // A barrier opens layer 3 for every qubit: it is reported there and
+    // the idle q0 cannot move ahead of it.
+    c.add(Gate::barrier());     // reported at 3, occupies no layer
+    c.add(Gate::h(0));          // layer 3
+    c.add(Gate::cnot(1, 2));    // layer 3
+    c.add(Gate::h(1));          // layer 4
+    layers = gateLayers(c);
+    ASSERT_EQ(layers.size(), 9u);
+    EXPECT_EQ(layers[5], 3);
+    EXPECT_EQ(layers[6], 3);
+    EXPECT_EQ(layers[7], 3);
+    EXPECT_EQ(layers[8], 4);
+
+    analysis::CircuitDag dag(c);
+    EXPECT_EQ(c.depth(), 5);
+    EXPECT_EQ(static_cast<int>(asapLayers(c).size()), c.depth());
+    EXPECT_EQ(dag.layerCount(), c.depth());
+    EXPECT_EQ(dag.layerOf(5), -1);
+    EXPECT_EQ(dag.layerOf(6), 3);
+}
+
 TEST(AsapLayers, AgreesWithCircuitDagSeeded)
 {
-    // asapLayers() and the analysis CircuitDag compute layers with
-    // independent sweeps; they must agree gate by gate.
+    // asapLayers() and the analysis CircuitDag both read gateLayers();
+    // they must agree gate by gate.
     Rng rng(25);
     for (int trial = 0; trial < 10; ++trial) {
         Circuit c(5);

@@ -140,23 +140,6 @@ TEST(VerifyReport, TableAndCsvRenderRuleIds)
               "verification: 1 warning (QV009)\n");
 }
 
-TEST(GateLayers, AsapLayersMatchDepthSemantics)
-{
-    Circuit c(3);
-    c.add(Gate::h(0));          // layer 0
-    c.add(Gate::h(1));          // layer 0
-    c.add(Gate::cnot(0, 1));    // layer 1
-    c.add(Gate::h(2));          // layer 0
-    c.add(Gate::cnot(1, 2));    // layer 2
-    std::vector<int> layers = gateLayers(c);
-    ASSERT_EQ(layers.size(), 5u);
-    EXPECT_EQ(layers[0], 0);
-    EXPECT_EQ(layers[1], 0);
-    EXPECT_EQ(layers[2], 1);
-    EXPECT_EQ(layers[3], 0);
-    EXPECT_EQ(layers[4], 2);
-}
-
 TEST(Replay, TracksSwapsAndInteractions)
 {
     diag::Report report;
